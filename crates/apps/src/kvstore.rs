@@ -3,81 +3,83 @@
 //! The canonical persistent-state discipline from the paper's §II-A4/§I:
 //! on every update the enclave increments a monotonic counter and seals
 //! the new counter value together with the store; on load it accepts the
-//! blob only if the embedded version matches the counter. Built on the
+//! store only if the embedded version matches the counter. Built on the
 //! *migratable* primitives, the whole store survives machine migration —
 //! and the attack test-suite uses it as the victim workload for the §III
 //! fork and roll-back attacks.
 //!
-//! **Segment-sealed staging.** The migration payload staged with the
-//! library is not one monolithic sealed blob (whose ciphertext changes
-//! completely on every reseal) but a *container*: the snapshot plaintext
-//! split into [`SEGMENT_LEN`]-byte segments, each migratable-sealed
-//! separately, preceded by a sealed index binding the exact ciphertext
-//! set. A PUT reseals only the segments whose plaintext changed (plus
-//! the small index), so the staged bytes stay mostly identical across
-//! updates — which is what lets the ME's dirty-page delta transfer ship
-//! a repeat migration as a few pages instead of the whole store.
-//! Splicing segments from an older container is caught by the index
-//! (ciphertext hashes); replaying a whole older container is the classic
-//! rollback, caught by the version-vs-counter check on load.
+//! **Incremental staging.** The store's snapshot (version first, then
+//! the entries in key order) is staged with the Migration Library as
+//! its bulk container: the library seals it in
+//! [`SEGMENT_LEN`]-byte segments under the MSK behind a sealed index
+//! (`mig_core::library::bulk`). A write hands the library only the
+//! segments it changed, found from the written keys' byte offsets in the
+//! snapshot: segment 0 holds the version and is always resealed; a
+//! same-length overwrite changes just the segments its entries span; a
+//! write that inserts an entry or changes one's length changes the tail
+//! from that entry on. A 64-byte PUT to a multi-megabyte store thus
+//! seals a few KiB, and the staged bytes stay mostly identical across
+//! updates, which lets the ME's dirty-page delta ship a repeat migration
+//! as a few pages.
+//!
+//! **Loading.** [`ops::LOAD`] takes a staged container, such as the one
+//! a migration delivered (`Datacenter::app_bulk_state`). The library
+//! checks the index and every segment, so a segment spliced in from an
+//! older container is refused; replaying a whole older container is the
+//! classic rollback, refused by the version-vs-counter check.
 
 use mig_core::harness::{AppCtx, AppLogic};
-use mig_crypto::sha256::sha256;
+pub use mig_core::library::bulk::SEGMENT_LEN;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::Range;
 
 /// ECALL opcodes of the KV store enclave.
 pub mod ops {
     /// Create the version counter (once per enclave lifetime).
     pub const INIT: u32 = 1;
-    /// Put a key/value pair; returns the new sealed snapshot.
+    /// Put a key/value pair; returns the new version and the root of the
+    /// staged container.
     pub const PUT: u32 = 2;
     /// Get a value by key.
     pub const GET: u32 = 3;
-    /// Load a sealed snapshot (rollback-checked).
+    /// Load a staged container (rollback-checked).
     pub const LOAD: u32 = 4;
     /// Read the current version (effective counter value).
     pub const VERSION: u32 = 5;
     /// Number of entries.
     pub const LEN: u32 = 6;
     /// Bulk-load deterministic entries (count, value size, fill seed):
-    /// one counter bump, one sealed snapshot — the multi-megabyte-state
+    /// one counter bump, one staging — the multi-megabyte-state
     /// generator for the streaming-migration path.
     pub const BULK_PUT: u32 = 7;
 }
 
-/// AAD tag for KV snapshots.
-const SNAPSHOT_AAD: &[u8] = b"mig-apps.kvstore.snapshot.v1";
-/// AAD tag for the staged container's sealed segment index.
-const INDEX_AAD: &[u8] = b"mig-apps.kvstore.seg-index.v1";
-/// Plaintext bytes per sealed staging segment.
-pub const SEGMENT_LEN: usize = 4096;
-/// Leading byte of a staged container (a plain migratable-sealed blob
-/// starts with its format version, 1).
-const CONTAINER_MAGIC: u8 = 2;
-
-/// Per-segment AAD: prefix plus the segment index, so a segment sealed
-/// at one position cannot be presented at another.
-fn segment_aad(idx: u32) -> Vec<u8> {
-    let mut aad = b"mig-apps.kvstore.seg.v1:".to_vec();
-    aad.extend_from_slice(&idx.to_le_bytes());
-    aad
-}
+/// Snapshot bytes before the first entry: counter id, version, count.
+const HEADER_LEN: usize = 1 + 4 + 4;
 
 /// A parsed snapshot: version-counter id, version, entries.
 type Snapshot = (u8, u32, BTreeMap<Vec<u8>, Vec<u8>>);
-/// One cached staging segment: plaintext hash + sealed ciphertext.
-type Segment = ([u8; 32], Vec<u8>);
+
+/// The keys a write touched, and whether it inserted an entry or
+/// changed one's length (which moves every later entry).
+struct Touched {
+    lo: Vec<u8>,
+    hi: Vec<u8>,
+    resized: bool,
+}
 
 /// The in-enclave state of the KV store.
 #[derive(Default)]
 pub struct KvStore {
     entries: BTreeMap<Vec<u8>, Vec<u8>>,
     version_counter: Option<u8>,
-    /// Staging segment cache — lets an update reseal only the segments
-    /// whose plaintext changed.
-    segments: Vec<Segment>,
+    /// Length of the snapshot the library's staged container holds, once
+    /// this store staged or loaded it; until then a write restages every
+    /// segment.
+    staged_len: Option<usize>,
 }
 
 impl KvStore {
@@ -93,7 +95,8 @@ impl KvStore {
     }
 
     fn snapshot_bytes(&self, version: u32) -> Vec<u8> {
-        let mut w = WireWriter::new();
+        let body: usize = self.entries.iter().map(entry_len).sum();
+        let mut w = WireWriter::with_capacity(HEADER_LEN + body);
         w.u8(self.version_counter.unwrap_or(0));
         w.u32(version);
         w.u32(self.entries.len() as u32);
@@ -119,89 +122,63 @@ impl KvStore {
         Ok((counter_id, version, entries))
     }
 
-    /// Rebuilds the segment-sealed staging container for `snapshot`
-    /// (the serialized store) and stages it with the library. Only
-    /// segments whose plaintext changed since the cache was built are
-    /// resealed.
-    fn restage(&mut self, ctx: &mut AppCtx<'_, '_>, snapshot: &[u8]) -> Result<Vec<u8>, SgxError> {
-        let mut segments = Vec::with_capacity(snapshot.len().div_ceil(SEGMENT_LEN));
-        for (i, plain) in snapshot.chunks(SEGMENT_LEN).enumerate() {
-            let hash = sha256(plain);
-            let sealed = match self.segments.get(i) {
-                Some((cached_hash, sealed)) if *cached_hash == hash => sealed.clone(),
-                _ => ctx
-                    .lib
-                    .seal_migratable_data(ctx.env, &segment_aad(i as u32), plain)?,
-            };
-            segments.push((hash, sealed));
-        }
-        self.segments = segments;
-
-        let mut index = WireWriter::new();
-        index.u32(self.segments.len() as u32);
-        for (_, sealed) in &self.segments {
-            index.array(&sha256(sealed));
-        }
-        let sealed_index = ctx
-            .lib
-            .seal_migratable_data(ctx.env, INDEX_AAD, &index.finish())?;
-
-        let mut w = WireWriter::new();
-        w.u8(CONTAINER_MAGIC);
-        w.bytes(&sealed_index);
-        w.u32(self.segments.len() as u32);
-        for (_, sealed) in &self.segments {
-            w.bytes(sealed);
-        }
-        let container = w.finish();
-        ctx.lib.stage_bulk_state(ctx.env, &container)?;
-        Ok(container)
+    /// Byte span, in the snapshot, of the entries with keys in
+    /// `lo..=hi`.
+    fn entry_span(&self, lo: &[u8], hi: &[u8]) -> Range<usize> {
+        let before: usize = self
+            .entries
+            .range::<[u8], _>((Unbounded, Excluded(lo)))
+            .map(entry_len)
+            .sum();
+        let within: usize = self
+            .entries
+            .range::<[u8], _>((Included(lo), Included(hi)))
+            .map(entry_len)
+            .sum();
+        HEADER_LEN + before..HEADER_LEN + before + within
     }
 
-    /// Opens a staged container: verifies the sealed index, every
-    /// segment's ciphertext hash and positional AAD, and returns the
-    /// reassembled snapshot plaintext plus the segment cache.
-    fn open_container(
+    /// Serializes the store at `version` and stages it with the library,
+    /// handing over only the segments the write to `touched` changed
+    /// (every segment when the staged container is not this store's
+    /// previous snapshot). Returns the container root.
+    fn stage(
+        &mut self,
         ctx: &mut AppCtx<'_, '_>,
-        bytes: &[u8],
-    ) -> Result<(Vec<u8>, Vec<Segment>), SgxError> {
-        let mut r = WireReader::new(bytes);
-        if r.u8()? != CONTAINER_MAGIC {
-            return Err(SgxError::Decode);
-        }
-        let sealed_index = r.bytes_vec()?;
-        let (index_plain, aad) = ctx.lib.unseal_migratable_data(ctx.env, &sealed_index)?;
-        if aad != INDEX_AAD {
-            return Err(SgxError::Decode);
-        }
-        let mut ir = WireReader::new(&index_plain);
-        let n = ir.u32()? as usize;
-        let mut expected = Vec::with_capacity(n);
-        for _ in 0..n {
-            expected.push(ir.array::<32>()?);
-        }
-        ir.finish()?;
-        if r.u32()? as usize != n {
-            return Err(SgxError::Decode);
-        }
-        let mut plain = Vec::new();
-        let mut segments = Vec::with_capacity(n);
-        for (i, hash) in expected.iter().enumerate() {
-            let sealed = r.bytes_vec()?;
-            if sha256(&sealed) != *hash {
-                // A segment spliced in from another container version.
-                return Err(SgxError::MacMismatch);
+        version: u32,
+        touched: Option<Touched>,
+    ) -> Result<[u8; 32], SgxError> {
+        let snapshot = self.snapshot_bytes(version);
+        let count = snapshot.len().div_ceil(SEGMENT_LEN);
+        let dirty = match (self.staged_len, touched) {
+            (Some(len), Some(t)) if t.resized || len == snapshot.len() => {
+                let span = self.entry_span(&t.lo, &t.hi);
+                let end = if t.resized {
+                    count
+                } else {
+                    span.end.div_ceil(SEGMENT_LEN)
+                };
+                span.start / SEGMENT_LEN..end
             }
-            let (seg, aad) = ctx.lib.unseal_migratable_data(ctx.env, &sealed)?;
-            if aad != segment_aad(i as u32) {
-                return Err(SgxError::Decode);
-            }
-            segments.push((sha256(&seg), sealed));
-            plain.extend_from_slice(&seg);
-        }
-        r.finish()?;
-        Ok((plain, segments))
+            (Some(len), None) if len == snapshot.len() => 0..0,
+            _ => 0..count,
+        };
+        let changed: Vec<(usize, &[u8])> = std::iter::once(0)
+            .chain(dirty.filter(|&i| i != 0))
+            .filter_map(|i| {
+                let end = snapshot.len().min((i + 1) * SEGMENT_LEN);
+                snapshot.get(i * SEGMENT_LEN..end).map(|seg| (i, seg))
+            })
+            .collect();
+        let root = ctx.lib.stage_bulk_segments(ctx.env, count, &changed)?;
+        self.staged_len = Some(snapshot.len());
+        Ok(root)
     }
+}
+
+/// Serialized length of one entry (two length-prefixed fields).
+fn entry_len((key, value): (&Vec<u8>, &Vec<u8>)) -> usize {
+    8 + key.len() + value.len()
 }
 
 impl AppLogic for KvStore {
@@ -225,21 +202,22 @@ impl AppLogic for KvStore {
                 let key = r.bytes_vec()?;
                 let value = r.bytes_vec()?;
                 r.finish()?;
-                self.entries.insert(key, value);
+                let resized = self
+                    .entries
+                    .get(&key)
+                    .is_none_or(|old| old.len() != value.len());
+                self.entries.insert(key.clone(), value);
                 // Version discipline: bump the counter, seal the new
-                // version into the snapshot (paper §II-A4).
+                // version with the store (paper §II-A4).
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
-                let snapshot = self.snapshot_bytes(version);
-                let blob = ctx
-                    .lib
-                    .seal_migratable_data(ctx.env, SNAPSHOT_AAD, &snapshot)?;
-                // Stage the segment-sealed container so a migration
-                // always carries the current store; only the segments
-                // this PUT dirtied are resealed, keeping the staged
-                // bytes delta-friendly across updates.
-                self.restage(ctx, &snapshot)?;
+                let touched = Touched {
+                    lo: key.clone(),
+                    hi: key,
+                    resized,
+                };
+                let root = self.stage(ctx, version, Some(touched))?;
                 let mut w = WireWriter::new();
-                w.u32(version).bytes(&blob);
+                w.u32(version).bytes(&root);
                 Ok(w.finish())
             }
             ops::BULK_PUT => {
@@ -249,20 +227,35 @@ impl AppLogic for KvStore {
                 let value_len = r.u32()? as usize;
                 let fill = r.u8()?;
                 r.finish()?;
+                let mut touched: Option<Touched> = None;
                 for i in 0..count {
                     let key = format!("bulk-{i:08}").into_bytes();
                     let value: Vec<u8> = (0..value_len)
                         .map(|j| fill.wrapping_add((i as usize + j) as u8))
                         .collect();
-                    self.entries.insert(key, value);
+                    let resized = self
+                        .entries
+                        .insert(key.clone(), value)
+                        .is_none_or(|old| old.len() != value_len);
+                    touched = Some(match touched {
+                        None => Touched {
+                            lo: key.clone(),
+                            hi: key,
+                            resized,
+                        },
+                        Some(t) => Touched {
+                            lo: t.lo.min(key.clone()),
+                            hi: t.hi.max(key),
+                            resized: t.resized || resized,
+                        },
+                    });
                 }
-                // One version bump and one restaged container for the
-                // whole batch.
+                // One version bump and one staging for the whole batch.
                 let version = ctx.lib.increment_migratable_counter(ctx.env, counter)?;
-                let snapshot = self.snapshot_bytes(version);
-                let container = self.restage(ctx, &snapshot)?;
+                self.stage(ctx, version, touched)?;
+                let staged = ctx.lib.bulk_state().map_or(0, <[u8]>::len);
                 let mut w = WireWriter::new();
-                w.u32(version).u64(container.len() as u64);
+                w.u32(version).u64(staged as u64);
                 Ok(w.finish())
             }
             ops::GET => self
@@ -271,44 +264,22 @@ impl AppLogic for KvStore {
                 .cloned()
                 .ok_or_else(|| SgxError::Enclave("key not found".into())),
             ops::LOAD => {
-                // Two on-disk formats: the segment-sealed container
-                // (staged / migrated state) and the plain sealed
-                // snapshot a PUT returns.
-                let container = input.first() == Some(&CONTAINER_MAGIC);
-                let (plaintext, segments) = if container {
-                    let (plain, segments) = Self::open_container(ctx, input)?;
-                    (plain, Some(segments))
-                } else {
-                    let (plain, aad) = ctx.lib.unseal_migratable_data(ctx.env, input)?;
-                    if aad != SNAPSHOT_AAD {
-                        return Err(SgxError::Decode);
-                    }
-                    (plain, None)
-                };
-                let (counter_id, version, entries) = Self::parse_snapshot(&plaintext)?;
+                let opened = ctx.lib.open_bulk(input)?;
+                let (counter_id, version, entries) = Self::parse_snapshot(opened.plaintext())?;
                 let current = ctx.lib.read_migratable_counter(ctx.env, counter_id)?;
                 if version != current {
                     return Err(SgxError::Enclave(format!(
                         "rollback detected: snapshot version {version} != counter {current}"
                     )));
                 }
+                let staged_len = opened.plaintext().len();
+                // Re-loading the container that is already staged (the
+                // one that just migrated in) stages nothing, so the next
+                // outgoing delta is computed against unchanged bytes.
+                ctx.lib.adopt_bulk(ctx.env, opened)?;
                 self.version_counter = Some(counter_id);
                 self.entries = entries;
-                // Keep the staged migration payload in sync with the
-                // restored store. Re-loading the container that just
-                // migrated in adopts its sealed segments verbatim (and
-                // the restage is a byte-identical no-op), so the next
-                // outgoing delta is computed against unchanged bytes.
-                match segments {
-                    Some(segments) => {
-                        self.segments = segments;
-                        ctx.lib.stage_bulk_state(ctx.env, input)?;
-                    }
-                    None => {
-                        self.segments.clear();
-                        self.restage(ctx, &plaintext)?;
-                    }
-                }
+                self.staged_len = Some(staged_len);
                 Ok(vec![])
             }
             ops::VERSION => {
@@ -341,7 +312,7 @@ pub fn encode_put(key: &[u8], value: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes a PUT response into `(version, sealed snapshot)`.
+/// Decodes a PUT response into `(version, root of the staged container)`.
 ///
 /// # Errors
 ///
@@ -349,9 +320,9 @@ pub fn encode_put(key: &[u8], value: &[u8]) -> Vec<u8> {
 pub fn decode_put_response(bytes: &[u8]) -> Result<(u32, Vec<u8>), SgxError> {
     let mut r = WireReader::new(bytes);
     let version = r.u32()?;
-    let blob = r.bytes_vec()?;
+    let root = r.bytes_vec()?;
     r.finish()?;
-    Ok((version, blob))
+    Ok((version, root))
 }
 
 /// Encodes a BULK_PUT request: `count` entries of `value_len` bytes
@@ -401,6 +372,21 @@ mod tests {
         assert_eq!(r.bytes().unwrap(), b"key");
         assert_eq!(r.bytes().unwrap(), b"value");
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn entry_span_matches_serialized_offsets() {
+        let mut store = KvStore::new();
+        for (k, v) in [("a", "1"), ("bb", "22"), ("c", "333"), ("d", "4")] {
+            store.entries.insert(k.into(), v.into());
+        }
+        let bytes = store.snapshot_bytes(7);
+        let span = store.entry_span(b"bb", b"c");
+        let mut expected = WireWriter::new();
+        expected.bytes(b"bb").bytes(b"22").bytes(b"c").bytes(b"333");
+        assert_eq!(bytes[span], expected.finish()[..]);
+        let first = store.entry_span(b"a", b"a");
+        assert_eq!(first.start, HEADER_LEN);
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub enum MigError {
     /// The persistent blob references monotonic counters that no longer
     /// exist — the signature of a fork attempt with stale state (§VII-A).
     StaleState,
+    /// The bulk container returned with the persistent header is not the
+    /// one the header's root names (an older or tampered container).
+    BulkMismatch,
     /// The library has not completed initialization (`migration_init`).
     NotInitialized,
     /// The library is awaiting incoming migration data and cannot serve
@@ -107,6 +110,9 @@ impl fmt::Display for MigError {
                     "stale persistent state: referenced counters no longer exist"
                 )
             }
+            MigError::BulkMismatch => {
+                write!(f, "bulk container does not match the persisted root")
+            }
             MigError::NotInitialized => write!(f, "migration library not initialized"),
             MigError::AwaitingMigration => {
                 write!(f, "library is awaiting incoming migration data")
@@ -189,6 +195,7 @@ mod tests {
             MigError::Sgx(SgxError::MacMismatch),
             MigError::Frozen,
             MigError::StaleState,
+            MigError::BulkMismatch,
             MigError::NotInitialized,
             MigError::AwaitingMigration,
             MigError::NoMeSession,

@@ -10,9 +10,10 @@
 //!   [`AppCtx`] with both the library (for migratable sealing/counters)
 //!   and the raw [`EnclaveEnv`];
 //! * wraps **every** ECALL response in an envelope that carries the
-//!   freshly resealed Table II blob whenever the library state changed,
-//!   so the untrusted host can persist it (the paper's "handing the data
-//!   in a sealed data blob over to the untrusted part", §VI-B).
+//!   library's fresh persist record (the sealed Table II header plus the
+//!   bulk container) whenever the library state changed, so the
+//!   untrusted host can persist it (the paper's "handing the data in a
+//!   sealed data blob over to the untrusted part", §VI-B).
 
 use crate::error::MigError;
 use crate::library::{InitRequest, LibPhase, MigrationLibrary};

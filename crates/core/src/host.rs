@@ -1119,8 +1119,8 @@ impl std::fmt::Debug for AppHost {
 impl AppHost {
     /// Creates a host for a loaded enclave and initializes its library.
     ///
-    /// `init` selects the Fig. 1 start state; the sealed state blob, when
-    /// produced, is stored under `state_key` on `disk`.
+    /// `init` selects the Fig. 1 start state; the library's persist
+    /// record, when produced, is stored under `state_key` on `disk`.
     ///
     /// # Errors
     ///
@@ -1133,7 +1133,10 @@ impl AppHost {
         expected_me: MrEnclave,
         init: InitRequest,
     ) -> Result<Self, SgxError> {
-        let checkpoints = CheckpointStore::new(disk.clone(), &format!("mig-state:{name}"));
+        // Nothing diffs app checkpoints (the ME ships deltas from its own
+        // cache), so the series skips the O(record) page digests.
+        let checkpoints =
+            CheckpointStore::new(disk.clone(), &format!("mig-state:{name}")).without_page_digests();
         let mut host = AppHost {
             name: name.to_string(),
             endpoint,
@@ -1188,9 +1191,11 @@ impl AppHost {
     fn store_persist(&mut self, envelope_bytes: &[u8]) -> Result<Vec<u8>, SgxError> {
         let (payload, persist) = open_envelope(envelope_bytes)?;
         if let Some(blob) = persist {
-            // A failed or torn write surfaces to the caller: the enclave
-            // has already advanced, but the host must not pretend the
-            // state is durable when the platter rejected it.
+            // The record (sealed header ‖ bulk container) goes down in
+            // one write, so a crash never pairs a header with another
+            // container. A failed or torn write surfaces to the caller:
+            // the enclave has already advanced, but the host must not
+            // pretend the state is durable when the platter rejected it.
             self.disk
                 .try_put(&self.state_key(), blob.clone())
                 .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;

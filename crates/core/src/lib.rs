@@ -36,8 +36,9 @@
 //!   a chunked, resumable, HMAC-chained streaming engine
 //!   ([`transfer::chunker`]) that replaces the single-shot transfer for
 //!   state above [`transfer::TransferConfig::stream_threshold`]. Apps
-//!   stage bulk state via
-//!   [`library::MigrationLibrary::stage_bulk_state`]; the Migration
+//!   stage bulk state as plaintext segments via
+//!   [`library::MigrationLibrary::stage_bulk_segments`], which seals
+//!   them into a root-bound container ([`library::bulk`]); the Migration
 //!   Enclaves pipeline it as windowed `Chunk` messages over the attested
 //!   channel, persist per-chunk progress, and — driven by
 //!   [`datacenter::Datacenter::migrate_app_resumable`] /

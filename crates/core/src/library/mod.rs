@@ -16,15 +16,23 @@
 //!   migration entry point (`migration_start`);
 //! * the attested channel to the local Migration Enclave.
 //!
-//! The library's own persistent data (Table II) is sealed with *native*
-//! machine-bound sealing and handed to the untrusted host for storage;
-//! the host returns it at every restart via `migration_init`.
+//! The library's own persistent data is a **persist record**: a header
+//! holding Table II plus the 32-byte root of the staged bulk container,
+//! sealed with *native* machine-bound sealing, followed by the container
+//! itself (see [`bulk`]; [`split_persist_record`]). The header is the
+//! same size at any state size, and the container is sealed under the
+//! MSK segment by segment, so a persist never re-encrypts the bulk
+//! state. The untrusted host stores the record in one write and returns
+//! it at every restart via `migration_init`, which refuses a container
+//! whose root does not match the header.
 
+pub mod bulk;
 pub mod state;
 
 use crate::error::MigError;
 use crate::msgs::{LibToMe, MeToLib};
 use crate::secure_channel::{ChannelRole, SecureChannel};
+use bulk::{Container, OpenedBulk};
 use sgx_sim::cpu::KeyPolicy;
 use sgx_sim::dh::{DhInitiator, DhMsg1, DhMsg3};
 use sgx_sim::enclave::EnclaveEnv;
@@ -33,10 +41,9 @@ use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use state::{LibraryState, COUNTER_SLOTS};
-use std::sync::Arc;
 
-/// AAD tag binding sealed blobs to their role as library state.
-const STATE_AAD: &[u8] = b"sgx-migrate.library-state.v1";
+/// AAD tag binding the sealed header to its role as library state.
+const STATE_AAD: &[u8] = b"sgx-migrate.library-state.v2";
 /// Format version byte of migratable sealed blobs.
 const MIGSEAL_VERSION: u8 = 1;
 
@@ -46,13 +53,29 @@ const MIGSEAL_VERSION: u8 = 1;
 pub enum InitRequest {
     /// First start of this enclave's lifetime: generate a fresh MSK.
     New,
-    /// Restart on the same machine: restore from the sealed Table II blob.
+    /// Restart on the same machine: restore from the persist record.
     Restore {
-        /// The sealed library state previously handed to the host.
+        /// The persist record previously handed to the host.
         blob: Vec<u8>,
     },
     /// Start as a migration target: wait for incoming migration data.
     Migrate,
+}
+
+/// Splits a persist record (`sealed header ‖ container`) into the
+/// natively sealed header and the bulk container that follows it (empty
+/// when none is staged). Checks framing only; the header's root binds
+/// the container.
+///
+/// # Errors
+///
+/// [`SgxError::Decode`] when the record does not start with a complete
+/// sealed blob.
+pub fn split_persist_record(record: &[u8]) -> Result<(&[u8], &[u8]), SgxError> {
+    let header_len = sgx_sim::seal::sealed_prefix_len(record)?;
+    let header = record.get(..header_len).ok_or(SgxError::Decode)?;
+    let container = record.get(header_len..).ok_or(SgxError::Decode)?;
+    Ok((header, container))
 }
 
 /// The library's operating phase.
@@ -82,11 +105,10 @@ pub struct MigrationLibrary {
     phase: LibPhase,
     me_session: MeSession,
     pending_persist: Option<Vec<u8>>,
-    /// Staged bulk state (the app's migratable-sealed working set),
-    /// included in persistent checkpoints and shipped on migration via
-    /// the streaming transfer engine when large. `Arc`-backed so the
-    /// snapshot is shared, not copied, across the staging/persist paths.
-    bulk_state: Option<Arc<[u8]>>,
+    /// The staged bulk container (the app's working set, sealed here),
+    /// stored next to the persistent header and shipped on migration via
+    /// the streaming transfer engine when large.
+    bulk: Option<Container>,
 }
 
 impl std::fmt::Debug for MigrationLibrary {
@@ -136,21 +158,25 @@ impl MigrationLibrary {
                     phase: LibPhase::Operational,
                     me_session: MeSession::None,
                     pending_persist: None,
-                    bulk_state: None,
+                    bulk: None,
                 };
                 lib.persist(env);
                 Ok(lib)
             }
             InitRequest::Restore { blob } => {
-                let (plaintext, aad) = env.unseal_data(&blob)?;
+                let (header, container) = split_persist_record(&blob)?;
+                let (plaintext, aad) = env.unseal_data(header)?;
                 if aad != STATE_AAD {
                     return Err(MigError::Sgx(SgxError::Decode));
                 }
-                // The checkpoint carries Table II plus any staged bulk
-                // state (see `persist`).
+                // The header carries Table II plus the root of any
+                // staged bulk container (see `persist`).
                 let mut r = WireReader::new(&plaintext);
                 let state = LibraryState::from_bytes(r.bytes()?)?;
-                let bulk_state = crate::me::read_opt(&mut r)?.map(Arc::from);
+                let root: Option<[u8; 32]> = match crate::me::read_opt(&mut r)? {
+                    Some(root) => Some(root.try_into().map_err(|_| SgxError::Decode)?),
+                    None => None,
+                };
                 r.finish()?;
                 if state.frozen != 0 {
                     return Err(MigError::Frozen);
@@ -166,13 +192,24 @@ impl MigrationLibrary {
                         Err(e) => return Err(MigError::Sgx(e)),
                     }
                 }
+                // Rollback of the bulk state alone: the container must be
+                // the one the header names.
+                let bulk = match root {
+                    Some(root) => Some(Container::decode(
+                        state.msk,
+                        container.to_vec(),
+                        Some(&root),
+                    )?),
+                    None if container.is_empty() => None,
+                    None => return Err(MigError::BulkMismatch),
+                };
                 Ok(MigrationLibrary {
                     expected_me,
                     state: Some(state),
                     phase: LibPhase::Operational,
                     me_session: MeSession::None,
                     pending_persist: None,
-                    bulk_state,
+                    bulk,
                 })
             }
             InitRequest::Migrate => Ok(MigrationLibrary {
@@ -181,7 +218,7 @@ impl MigrationLibrary {
                 phase: LibPhase::AwaitingMigration,
                 me_session: MeSession::None,
                 pending_persist: None,
-                bulk_state: None,
+                bulk: None,
             }),
         }
     }
@@ -204,20 +241,27 @@ impl MigrationLibrary {
         self.state.as_ref().map_or(0, |s| s.active_ids().count())
     }
 
-    /// Takes the freshly sealed Table II blob produced by the last
-    /// mutating operation, if any. The enclave wrapper hands it to the
-    /// untrusted host for storage after every ECALL.
+    /// Takes the persist record produced by the last mutating operation,
+    /// if any. The enclave wrapper hands it to the untrusted host for
+    /// storage after every ECALL.
     pub fn take_persist(&mut self) -> Option<Vec<u8>> {
         self.pending_persist.take()
     }
 
+    /// Builds the persist record: the natively sealed header (Table II ‖
+    /// container root) followed by the container, which is already
+    /// sealed under the MSK and is copied, not re-encrypted.
     fn persist(&mut self, env: &mut EnclaveEnv<'_>) {
         if let Some(state) = &self.state {
             let mut w = WireWriter::new();
             w.bytes(&state.to_bytes());
-            crate::me::write_opt(&mut w, self.bulk_state.as_deref());
-            let blob = env.seal_data(KeyPolicy::MrEnclave, STATE_AAD, &w.finish());
-            self.pending_persist = Some(blob);
+            crate::me::write_opt(&mut w, self.bulk.as_ref().map(|c| c.root().as_slice()));
+            let header = env.seal_data(KeyPolicy::MrEnclave, STATE_AAD, &w.finish());
+            let container = self.bulk_state().unwrap_or_default();
+            let mut record = Vec::with_capacity(header.len() + container.len());
+            record.extend_from_slice(&header);
+            record.extend_from_slice(container);
+            self.pending_persist = Some(record);
         }
     }
 
@@ -225,43 +269,84 @@ impl MigrationLibrary {
     // Bulk state (the streaming-transfer payload)
     // ------------------------------------------------------------------
 
-    /// Stages the app's bulk state (its migratable-sealed working set)
-    /// for checkpointing and migration. Replaces any previous staging and
-    /// reseals the persistent checkpoint.
+    /// Stages the app's bulk state as a container of `count` segments
+    /// sealed here under the MSK (see [`bulk`]), returning its root.
+    ///
+    /// `changed` lists `(index, plaintext)` for every segment whose
+    /// plaintext differs from the staged container's, each at most
+    /// [`bulk::SEGMENT_LEN`] bytes; it must cover every index at or past
+    /// the previously staged count. Only those segments and the index
+    /// are sealed, and the persistent header is resealed over the new
+    /// root, so the cost is O(changed segments) plus the copies of the
+    /// container into the persist record.
     ///
     /// # Errors
     ///
-    /// Phase errors outside normal operation;
-    /// [`MigError::Transfer`] for payloads beyond the streaming engine's
+    /// Phase errors outside normal operation; [`MigError::Transfer`] for
+    /// an empty container, a malformed `changed` list, or a container
+    /// beyond the streaming engine's
     /// [`crate::transfer::chunker::MAX_STREAM_LEN`].
-    pub fn stage_bulk_state(
+    pub fn stage_bulk_segments(
         &mut self,
         env: &mut EnclaveEnv<'_>,
-        bytes: &[u8],
-    ) -> Result<(), MigError> {
-        let _ = self.operational_state()?;
-        if bytes.len() as u64 > crate::transfer::chunker::MAX_STREAM_LEN {
+        count: usize,
+        changed: &[(usize, &[u8])],
+    ) -> Result<[u8; 32], MigError> {
+        let msk = self.operational_state()?.msk;
+        if count == 0 {
+            return Err(MigError::Transfer("empty bulk container"));
+        }
+        if bulk::max_encoded_len(count) > crate::transfer::chunker::MAX_STREAM_LEN {
             return Err(MigError::Transfer("bulk state exceeds stream limit"));
         }
-        // Idempotent re-staging (e.g. restoring the very snapshot that
-        // just migrated in) skips the O(state) reseal.
-        if self.bulk_state.as_deref() == Some(bytes) {
-            return Ok(());
-        }
-        self.bulk_state = if bytes.is_empty() {
-            None
-        } else {
-            Some(Arc::from(bytes))
-        };
+        let root = Container::stage(&mut self.bulk, msk, env, count, changed)?;
         self.persist(env);
+        Ok(root)
+    }
+
+    /// Opens a bulk container sealed by this enclave (for instance the
+    /// one that arrived with a migration): checks the index and every
+    /// segment, and returns the plaintext for the app to check further.
+    ///
+    /// # Errors
+    ///
+    /// Phase errors; [`SgxError::Decode`] for malformed framing;
+    /// [`SgxError::MacMismatch`] for a tampered, foreign or spliced
+    /// segment or index.
+    pub fn open_bulk<'a>(&self, bytes: &'a [u8]) -> Result<OpenedBulk<'a>, MigError> {
+        let msk = self.operational_state()?.msk;
+        OpenedBulk::open(msk, bytes)
+    }
+
+    /// Stages a container opened by [`MigrationLibrary::open_bulk`],
+    /// after the app accepted its plaintext. Adopting the container
+    /// already staged is free.
+    ///
+    /// # Errors
+    ///
+    /// Phase errors outside normal operation.
+    pub fn adopt_bulk(
+        &mut self,
+        env: &mut EnclaveEnv<'_>,
+        opened: OpenedBulk<'_>,
+    ) -> Result<(), MigError> {
+        let _ = self.operational_state()?;
+        let staged = self
+            .bulk
+            .as_ref()
+            .is_some_and(|c| mig_crypto::ct::ct_eq(c.root(), opened.root()));
+        if !staged {
+            self.bulk = Some(opened.into_container());
+            self.persist(env);
+        }
         Ok(())
     }
 
-    /// The currently staged bulk state, if any (on a migration target,
-    /// the bulk state that arrived with the migration).
+    /// The encoded bulk container currently staged, if any (on a
+    /// migration target, the container that arrived with the migration).
     #[must_use]
     pub fn bulk_state(&self) -> Option<&[u8]> {
-        self.bulk_state.as_deref()
+        self.bulk.as_ref().map(Container::bytes)
     }
 
     fn state(&self) -> Result<&LibraryState, MigError> {
@@ -604,7 +689,7 @@ impl MigrationLibrary {
         let msg = LibToMe::MigrateRequest {
             destination,
             data,
-            state: self.bulk_state.as_deref().unwrap_or_default().to_vec(),
+            state: self.bulk_state().unwrap_or_default().to_vec(),
         };
         let plaintext = msg.to_bytes();
         let channel = self.channel()?;
@@ -657,6 +742,14 @@ impl MigrationLibrary {
                         "incoming migration while not awaiting one",
                     ));
                 }
+                // The migrated container becomes this incarnation's
+                // staged state: the app opens it to restore its working
+                // set, and a further migration re-ships it.
+                let bulk = if state.is_empty() {
+                    None
+                } else {
+                    Some(Container::decode(data.msk, state, None)?)
+                };
                 let mut lib_state = LibraryState::from_migration_data(&data);
                 // Fresh hardware counters start at 0; the transferred
                 // effective values live on as offsets.
@@ -669,14 +762,7 @@ impl MigrationLibrary {
                 }
                 self.state = Some(lib_state);
                 self.phase = LibPhase::Operational;
-                // The migrated bulk state becomes this incarnation's
-                // staged state: the app retrieves it to restore its
-                // working set, and a further migration re-ships it.
-                self.bulk_state = if state.is_empty() {
-                    None
-                } else {
-                    Some(state.into())
-                };
+                self.bulk = bulk;
                 self.persist(env);
                 let done = LibToMe::Done.to_bytes();
                 Ok(Some(self.channel()?.seal(&done)))

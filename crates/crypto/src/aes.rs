@@ -8,7 +8,7 @@
 //! # Kernel design
 //!
 //! The cipher state for **[`PARALLEL_BLOCKS`] blocks at once** is held
-//! as eight bit-planes of [`GROUPS`] four-block groups each ([`Bs`] =
+//! as eight bit-planes of `GROUPS` four-block groups each (`Bs` =
 //! `[u64; GROUPS]`, one `u64` per group): within a group's plane, the
 //! bit for row `r`, column `c` of block `j` lives at position
 //! `16·r + 4·c + j`, and `q[0]` carries the least-significant bit of
@@ -18,7 +18,7 @@
 //! fixed mask/rotate networks on the planes. Every gate is an
 //! element-wise op over the group limbs, which the backend lowers to
 //! wide vector logic (one 256-bit op per gate at `GROUPS = 4` on any
-//! AVX2 target — see [`sub_bytes`] for how the circuit is shaped to
+//! AVX2 target — see `sub_bytes` for how the circuit is shaped to
 //! make that happen); the extra groups ride the same gate count the
 //! single-group kernel pays. There are no key- or data-dependent
 //! table lookups or branches anywhere — the kernel is constant-time
@@ -42,7 +42,7 @@ const GROUPS: usize = 4;
 /// One bit-plane across all groups: limb `g` is the plane for
 /// four-block group `g`. The S-box circuit, ShiftRows, and MixColumns
 /// operate on whole planes, so widening the kernel is purely a matter
-/// of raising [`GROUPS`] — all gate code is element-wise over the
+/// of raising `GROUPS` — all gate code is element-wise over the
 /// limbs, which the backend lowers to the widest vector logic the
 /// build target offers.
 #[derive(Clone, Copy, Default)]

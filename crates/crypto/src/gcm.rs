@@ -16,7 +16,7 @@
 //! byte-polynomial `b` times `H`) plus a shared key-independent 4 KiB
 //! reduction table, bringing a block multiply down to 16 table lookups —
 //! half the lookups of the 4-bit method it replaces (which survives in
-//! [`reference`] as an oracle, alongside the bit-serial multiply).
+//! `reference` as an oracle, alongside the bit-serial multiply).
 //! Blocks are absorbed two at a time via a second table for `H²`:
 //! `y·H² ⊕ x·H` runs as two *independent* Shoup walks whose table-load
 //! latencies overlap in the out-of-order core, where the naive

@@ -5,10 +5,10 @@
 //! 16-round groups over a rolling 16-word message schedule — no 64-entry
 //! schedule array and no per-round register rotation — and
 //! [`Sha256::update`] folds every full-block run of its input through
-//! [`compress_blocks`] in one call, so multi-megabyte payloads (chunk
+//! `compress_blocks` in one call, so multi-megabyte payloads (chunk
 //! digests, HMAC chains, sealed-state digests) never round-trip through
 //! the 64-byte buffer. The straightforward rolled compression this
-//! replaces is retained in [`reference`] as the equivalence oracle.
+//! replaces is retained in `reference` as the equivalence oracle.
 //! Validated against the FIPS 180-4 / NIST CAVP example vectors,
 //! including the one-million-`a` vector.
 
@@ -345,7 +345,7 @@ impl Sha256 {
     /// Absorbs `data` into the hash state.
     ///
     /// Full blocks are compressed straight from `data` in one
-    /// [`compress_blocks`] call; only a ragged head (completing a
+    /// `compress_blocks` call; only a ragged head (completing a
     /// previously buffered partial block) or tail touches the internal
     /// buffer.
     pub fn update(&mut self, data: &[u8]) {

@@ -59,6 +59,26 @@ pub fn parse_sealed_header(blob: &[u8]) -> Result<SealedHeader, SgxError> {
     })
 }
 
+/// Length of the sealed blob at the front of `bytes`, which may go on
+/// with other data (the blob's fields describe their own lengths).
+///
+/// # Errors
+///
+/// Returns [`SgxError::Decode`] when `bytes` does not start with a
+/// complete sealed blob.
+pub fn sealed_prefix_len(bytes: &[u8]) -> Result<usize, SgxError> {
+    let mut r = WireReader::new(bytes);
+    if r.u8()? != FORMAT_VERSION {
+        return Err(SgxError::Decode);
+    }
+    KeyPolicy::from_u8(r.u8()?)?;
+    r.array::<16>()?;
+    r.array::<12>()?;
+    r.bytes()?;
+    r.bytes()?;
+    Ok(bytes.len() - r.remaining())
+}
+
 /// Computes the sealed size for a given plaintext/AAD size (format
 /// overhead is constant).
 #[must_use]

@@ -533,7 +533,6 @@ fn kvstore_full_workflow_across_migration() {
     .unwrap();
     dc.call_app("kv-src", kvstore::ops::INIT, &[]).unwrap();
 
-    let mut last_blob = Vec::new();
     for i in 0..5u32 {
         let resp = dc
             .call_app(
@@ -542,9 +541,8 @@ fn kvstore_full_workflow_across_migration() {
                 &kvstore::encode_put(format!("key-{i}").as_bytes(), &i.to_le_bytes()),
             )
             .unwrap();
-        let (version, blob) = kvstore::decode_put_response(&resp).unwrap();
+        let (version, _root) = kvstore::decode_put_response(&resp).unwrap();
         assert_eq!(version, i + 1);
-        last_blob = blob;
     }
 
     dc.deploy_app(
@@ -557,9 +555,12 @@ fn kvstore_full_workflow_across_migration() {
     .unwrap();
     dc.migrate_app("kv-src", "kv-dst").unwrap();
 
-    // Load the latest snapshot on the destination: version check passes.
-    dc.call_app("kv-dst", kvstore::ops::LOAD, &last_blob)
-        .unwrap();
+    // Load the container that migrated in: version check passes.
+    let staged = dc
+        .app_bulk_state("kv-dst")
+        .unwrap()
+        .expect("migrated state");
+    dc.call_app("kv-dst", kvstore::ops::LOAD, &staged).unwrap();
     assert_eq!(
         dc.call_app("kv-dst", kvstore::ops::GET, b"key-3").unwrap(),
         3u32.to_le_bytes().to_vec()

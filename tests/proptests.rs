@@ -515,3 +515,163 @@ proptest! {
         }
     }
 }
+
+// -----------------------------------------------------------------------
+// Totality of the host-reachable persist-record and container decoders
+// -----------------------------------------------------------------------
+
+mod bulk_decoders {
+    use mig_apps::kvstore::{self, ops as kv, KvStore};
+    use mig_core::harness::{encode_init, open_envelope, ops as lib_ops, MigratableEnclave};
+    use mig_core::library::bulk::Layout;
+    use mig_core::library::{split_persist_record, InitRequest};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sgx_sim::enclave::EnclaveHandle;
+    use sgx_sim::ias::AttestationService;
+    use sgx_sim::machine::{MachineId, SgxMachine};
+    use sgx_sim::measurement::{EnclaveImage, EnclaveSigner, MrEnclave};
+    use sgx_sim::wire::WireReader;
+
+    fn image() -> EnclaveImage {
+        EnclaveImage::build("prop-kv", 1, b"kv", &EnclaveSigner::from_seed([32; 32]))
+    }
+
+    fn me_mr() -> MrEnclave {
+        mig_core::me::me_image().mr_enclave()
+    }
+
+    /// An ECALL through the harness envelope: `(payload, persist record)`.
+    fn call(
+        enclave: &EnclaveHandle,
+        opcode: u32,
+        input: &[u8],
+    ) -> Result<(Vec<u8>, Option<Vec<u8>>), sgx_sim::SgxError> {
+        Ok(open_envelope(&enclave.ecall(opcode, input)?).expect("envelope"))
+    }
+
+    /// A machine running a kvstore with three segments of bulk state,
+    /// plus its latest persist record and staged container.
+    pub struct Fixture {
+        pub machine: SgxMachine,
+        pub enclave: EnclaveHandle,
+        pub record: Vec<u8>,
+        pub container: Vec<u8>,
+    }
+
+    pub fn fixture(seed: u64) -> Fixture {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ias = AttestationService::new(&mut rng);
+        let machine = SgxMachine::new(MachineId(1), &ias, &mut rng);
+        let enclave = machine
+            .load_enclave(&image(), Box::new(MigratableEnclave::new(KvStore::new())))
+            .unwrap();
+        call(
+            &enclave,
+            lib_ops::MIG_INIT,
+            &encode_init(&me_mr(), &InitRequest::New),
+        )
+        .unwrap();
+        call(&enclave, kv::INIT, &[]).unwrap();
+        let (_, record) = call(
+            &enclave,
+            kv::BULK_PUT,
+            &kvstore::encode_bulk_put(8, 1000, 3),
+        )
+        .unwrap();
+        let record = record.expect("BULK_PUT persists");
+        let (bulk, _) = call(&enclave, lib_ops::BULK_STATE, &[]).unwrap();
+        let mut r = WireReader::new(&bulk);
+        assert_eq!(r.u8().unwrap(), 1, "container staged");
+        let container = r.bytes_vec().unwrap();
+        Fixture {
+            machine,
+            enclave,
+            record,
+            container,
+        }
+    }
+
+    /// Restores a fresh enclave from `record` and, if that succeeds,
+    /// loads its staged container. Returns whether both succeeded.
+    pub fn restores_usable_state(machine: &SgxMachine, record: Vec<u8>) -> bool {
+        let enclave = machine
+            .load_enclave(&image(), Box::new(MigratableEnclave::new(KvStore::new())))
+            .unwrap();
+        let init = encode_init(&me_mr(), &InitRequest::Restore { blob: record });
+        if call(&enclave, lib_ops::MIG_INIT, &init).is_err() {
+            return false;
+        }
+        let (bulk, _) = call(&enclave, lib_ops::BULK_STATE, &[]).unwrap();
+        let mut r = WireReader::new(&bulk);
+        let container = match r.u8().unwrap() {
+            0 => Vec::new(),
+            _ => r.bytes_vec().unwrap(),
+        };
+        call(&enclave, kv::LOAD, &container).is_ok()
+    }
+
+    /// Applies one mutation: flip a byte, truncate, or append junk.
+    pub fn mutate(bytes: &[u8], kind: u8, pos: usize, xor: u8, junk: &[u8]) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        match kind % 3 {
+            0 => out[pos % bytes.len()] ^= xor,
+            1 => out.truncate(pos % bytes.len()),
+            _ => out.extend_from_slice(junk),
+        }
+        out
+    }
+
+    /// Host-side framing decoders never panic, whatever the bytes.
+    pub fn framing_is_total(bytes: &[u8]) {
+        let _ = split_persist_record(bytes);
+        let _ = Layout::parse(bytes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A mutated or arbitrary persist record never yields a library that
+    /// serves state: `InitRequest::Restore` refuses it (header MAC,
+    /// framing, or root), or the container it staged fails to load.
+    /// Nothing panics.
+    #[test]
+    fn persist_record_split_and_restore_are_total(
+        seed in 0u64..4,
+        kind in any::<u8>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let f = bulk_decoders::fixture(seed);
+        prop_assert!(bulk_decoders::restores_usable_state(&f.machine, f.record.clone()));
+        let mutated = bulk_decoders::mutate(&f.record, kind, pos, xor, &junk);
+        bulk_decoders::framing_is_total(&mutated);
+        bulk_decoders::framing_is_total(&arbitrary);
+        prop_assert!(!bulk_decoders::restores_usable_state(&f.machine, mutated));
+        prop_assert!(!bulk_decoders::restores_usable_state(&f.machine, arbitrary));
+    }
+
+    /// A mutated or arbitrary container is refused by the library's
+    /// container and index decoder (`LOAD` → `open_bulk`), and never
+    /// panics it; the genuine container still loads afterwards.
+    #[test]
+    fn bulk_container_decoder_is_total(
+        seed in 0u64..4,
+        kind in any::<u8>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let f = bulk_decoders::fixture(seed);
+        let load = |bytes: &[u8]| f.enclave.ecall(mig_apps::kvstore::ops::LOAD, bytes);
+        let mutated = bulk_decoders::mutate(&f.container, kind, pos, xor, &junk);
+        bulk_decoders::framing_is_total(&mutated);
+        prop_assert!(load(&mutated).is_err());
+        prop_assert!(load(&arbitrary).is_err());
+        prop_assert!(load(&f.container).is_ok());
+    }
+}

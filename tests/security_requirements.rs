@@ -11,10 +11,14 @@
 //!   to an earlier version, before, during, or after migration.
 
 use cloud_sim::machine::MachineLabels;
+use mig_apps::kvstore::{self, ops as kv, KvStore};
 use mig_core::datacenter::Datacenter;
 use mig_core::harness::{AppCtx, AppLogic};
-use mig_core::library::InitRequest;
+use mig_core::library::bulk::{Layout, SEGMENT_LEN};
+use mig_core::library::{split_persist_record, InitRequest};
 use mig_core::policy::MigrationPolicy;
+use mig_core::transfer::checkpoint::CheckpointStore;
+use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
@@ -435,4 +439,231 @@ fn r4_unseal_rejects_cross_incarnation_blob_forgery() {
 
     assert!(dc.call_app("dst", t::UNSEAL, &legit).is_ok());
     assert!(dc.call_app("dst", t::UNSEAL, &forged).is_err());
+}
+
+// =======================================================================
+// R4 — the staged bulk container is bound to the persisted header
+// =======================================================================
+
+fn kv_image() -> EnclaveImage {
+    EnclaveImage::build(
+        "sec-req-kv",
+        1,
+        b"kv code",
+        &EnclaveSigner::from_seed([8; 32]),
+    )
+}
+
+/// Deploys a kvstore holding `count` bulk entries of `len` bytes.
+fn kv_with_bulk(dc: &mut Datacenter, instance: &str, machine: MachineId, count: u32, len: u32) {
+    dc.deploy_app(
+        instance,
+        machine,
+        &kv_image(),
+        KvStore::new(),
+        InitRequest::New,
+    )
+    .unwrap();
+    dc.call_app(instance, kv::INIT, &[]).unwrap();
+    dc.call_app(
+        instance,
+        kv::BULK_PUT,
+        &kvstore::encode_bulk_put(count, len, 1),
+    )
+    .unwrap();
+}
+
+/// The persist record of `instance` on `machine`'s disk.
+fn record(dc: &Datacenter, machine: MachineId, instance: &str) -> Vec<u8> {
+    dc.world()
+        .machine(machine)
+        .disk
+        .get(&format!("mig-state:{instance}"))
+        .expect("persist record on disk")
+}
+
+fn staged(dc: &mut Datacenter, instance: &str) -> Vec<u8> {
+    dc.app_bulk_state(instance)
+        .unwrap()
+        .expect("staged container")
+}
+
+fn put(dc: &mut Datacenter, instance: &str, key: &[u8], value: &[u8]) {
+    dc.call_app(instance, kv::PUT, &kvstore::encode_put(key, value))
+        .unwrap();
+}
+
+#[test]
+fn r4_restart_refuses_older_container_under_current_header() {
+    let (mut dc, m1, _) = dc_with_two_machines(213);
+    kv_with_bulk(&mut dc, "kv", m1, 64, 1024);
+    let old = record(&dc, m1, "kv");
+    put(&mut dc, "kv", b"bulk-00000003", &[9; 1024]);
+    let new = record(&dc, m1, "kv");
+
+    // Current header, previous container: both genuine, not a pair.
+    let (header, new_container) = split_persist_record(&new).unwrap();
+    let (_, old_container) = split_persist_record(&old).unwrap();
+    assert_ne!(old_container, new_container);
+    let mut forged = new[..new.len() - new_container.len()].to_vec();
+    assert!(forged.ends_with(header));
+    forged.extend_from_slice(old_container);
+    let disk = dc.world().machine(m1).disk.clone();
+    disk.put("mig-state:kv", forged);
+    let err = dc
+        .restart_app("kv", m1, &kv_image(), KvStore::new())
+        .unwrap_err();
+    assert!(
+        matches!(err, SgxError::Enclave(ref m) if m.contains("bulk container does not match")),
+        "{err:?}"
+    );
+
+    // The genuine pair restarts, and the store loads from it.
+    disk.put("mig-state:kv", new);
+    dc.restart_app("kv", m1, &kv_image(), KvStore::new())
+        .unwrap();
+    let container = staged(&mut dc, "kv");
+    dc.call_app("kv", kv::LOAD, &container).unwrap();
+    assert_eq!(
+        dc.call_app("kv", kv::GET, b"bulk-00000003").unwrap(),
+        [9; 1024]
+    );
+}
+
+#[test]
+fn r4_load_refuses_segment_spliced_from_older_container() {
+    let (mut dc, m1, _) = dc_with_two_machines(214);
+    kv_with_bulk(&mut dc, "kv", m1, 64, 1024);
+    let old = staged(&mut dc, "kv");
+    // Entry 10 sits in segment 2; overwriting it reseals that segment.
+    put(&mut dc, "kv", b"bulk-00000010", &[7; 1024]);
+    let new = staged(&mut dc, "kv");
+
+    let (old_layout, new_layout) = (Layout::parse(&old).unwrap(), Layout::parse(&new).unwrap());
+    let (from, to) = (
+        old_layout.segments[2].clone(),
+        new_layout.segments[2].clone(),
+    );
+    assert_eq!(from.len(), to.len());
+    assert_ne!(
+        old[from.clone()],
+        new[to.clone()],
+        "the PUT resealed segment 2"
+    );
+    let mut spliced = new.clone();
+    spliced[to].copy_from_slice(&old[from]);
+
+    let err = dc.call_app("kv", kv::LOAD, &spliced).unwrap_err();
+    assert_eq!(err, SgxError::MacMismatch);
+    dc.call_app("kv", kv::LOAD, &new).unwrap();
+}
+
+#[test]
+fn r4_load_of_older_container_reports_rollback() {
+    let (mut dc, m1, _) = dc_with_two_machines(215);
+    kv_with_bulk(&mut dc, "kv", m1, 64, 1024);
+    let old = staged(&mut dc, "kv");
+    put(&mut dc, "kv", b"bulk-00000000", &[1; 1024]);
+
+    let err = dc.call_app("kv", kv::LOAD, &old).unwrap_err();
+    assert!(
+        matches!(err, SgxError::Enclave(ref m) if m.contains("rollback detected")),
+        "{err:?}"
+    );
+}
+
+/// Stages its input as the bulk state and opens containers: the
+/// library's bulk API with no app counter in the way.
+struct BulkApp;
+
+mod b {
+    pub const STAGE: u32 = 1;
+    pub const OPEN: u32 = 2;
+}
+
+impl AppLogic for BulkApp {
+    fn handle(
+        &mut self,
+        ctx: &mut AppCtx<'_, '_>,
+        opcode: u32,
+        input: &[u8],
+    ) -> Result<Vec<u8>, SgxError> {
+        match opcode {
+            b::STAGE => {
+                let segments: Vec<(usize, &[u8])> = input.chunks(SEGMENT_LEN).enumerate().collect();
+                let root = ctx
+                    .lib
+                    .stage_bulk_segments(ctx.env, segments.len(), &segments)?;
+                Ok(root.to_vec())
+            }
+            b::OPEN => Ok(ctx.lib.open_bulk(input)?.plaintext().to_vec()),
+            _ => Err(SgxError::InvalidParameter("opcode")),
+        }
+    }
+}
+
+#[test]
+fn r4_torn_record_write_restarts_from_newest_checkpoint_with_bulk_intact() {
+    use cloud_sim::disk::WriteFault;
+
+    let (mut dc, m1, _) = dc_with_two_machines(216);
+    dc.deploy_app("bulk", m1, &image(3), BulkApp, InitRequest::New)
+        .unwrap();
+    let state = |generation: u8| vec![generation; 64 * 1024];
+    for generation in 0..4 {
+        dc.call_app("bulk", b::STAGE, &state(generation)).unwrap();
+    }
+    let disk = dc.world().machine(m1).disk.clone();
+    let checkpoints = CheckpointStore::new(disk.clone(), "mig-state:bulk");
+    let (_, newest) = checkpoints.latest().expect("a checkpoint generation");
+    assert_eq!(
+        newest,
+        record(&dc, m1, "bulk"),
+        "the last persist was checkpointed"
+    );
+
+    // The next record write tears half-way.
+    let mut armed = true;
+    disk.set_fault_hook(move |key: &str, value: &[u8]| {
+        if armed && key == "mig-state:bulk" {
+            armed = false;
+            WriteFault::Torn {
+                keep: value.len() / 2,
+            }
+        } else {
+            WriteFault::None
+        }
+    });
+    assert!(dc.call_app("bulk", b::STAGE, &state(4)).is_err());
+    assert!(
+        dc.restart_app("bulk", m1, &image(3), BulkApp).is_err(),
+        "a torn record never restores"
+    );
+
+    let (_, blob) = checkpoints.latest().expect("checkpoint survived");
+    dc.deploy_app(
+        "bulk",
+        m1,
+        &image(3),
+        BulkApp,
+        InitRequest::Restore { blob },
+    )
+    .unwrap();
+    let container = staged(&mut dc, "bulk");
+    assert_eq!(dc.call_app("bulk", b::OPEN, &container).unwrap(), state(3));
+}
+
+#[test]
+fn r4_sealed_header_size_is_independent_of_state_size() {
+    // The natively sealed header binds the bulk state by its root, so
+    // persisting reseals the same few KiB at any state size.
+    let (mut dc, m1, m2) = dc_with_two_machines(217);
+    kv_with_bulk(&mut dc, "small", m1, 16, 4096); // 64 KiB
+    kv_with_bulk(&mut dc, "big", m2, 1024, 4096); // 4 MiB
+
+    let (small, big) = (record(&dc, m1, "small"), record(&dc, m2, "big"));
+    let (small_header, small_container) = split_persist_record(&small).unwrap();
+    let (big_header, big_container) = split_persist_record(&big).unwrap();
+    assert!(big_container.len() > 60 * small_container.len());
+    assert_eq!(small_header.len(), big_header.len());
 }

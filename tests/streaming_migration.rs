@@ -317,9 +317,10 @@ fn app_host_writes_periodic_durable_checkpoints() {
     assert!(generation >= 1, "several generations accumulated");
     drop(host);
 
-    // A checkpoint blob is a complete sealed library state (Table II
-    // plus the staged snapshot): an enclave restarted from it comes up
-    // operational with its bulk state intact.
+    // A checkpoint blob is a complete persist record (the sealed
+    // header binding Table II and the container root, plus the staged
+    // container): an enclave restarted from it comes up operational
+    // with its bulk state intact.
     dc.stop_app("app");
     dc.deploy_app(
         "app",
