@@ -250,7 +250,7 @@ fn e4(n: usize) {
     let sweep = e4_sweep();
     println!("\n=== E4 — persistent-state size sweep: blob vs streamed transfer ===");
     println!("(kvstore sealed state 4 KiB → 64 MiB; streamed = 256 KiB chunks,");
-    println!(" window 8, HMAC-chained, resumable; {n} migrations per cell)\n");
+    println!(" window 8, root-checked, resumable; {n} migrations per cell)\n");
     println!(
         "{:<8} {:>22} {:>22} {:>22} {:>12}",
         "state", "blob virt (ms)", "streamed virt (ms)", "streamed wall (ms)", "VM model"
@@ -447,9 +447,9 @@ fn e4(n: usize) {
     }
 
     // Speculative-restore series: the destination's time-to-release
-    // (wall-clock tail of the final-chunk ECALL) with verified-prefix
-    // staging + incremental digest versus the legacy
-    // unseal-after-complete path, at the largest swept geometry.
+    // (wall-clock tail of the final-chunk ECALL) with speculative
+    // restore on and off, at the largest swept geometry. The series
+    // streams in full, where both modes run the same root check.
     println!("\n--- speculative restore: destination time-to-release ({label} state, {n} runs per cell) ---");
     println!(
         "{:<14} {:>22} {:>22}",

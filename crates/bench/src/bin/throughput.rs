@@ -24,7 +24,7 @@
 //! their slot in the schedule.
 //!
 //! The batched arm ships `batch_size` sealed cells per `TRANSFER_BATCH`
-//! ECALL and seals/digests chunks on `seal_lanes` worker lanes, so
+//! ECALL and seals and opens cells on `seal_lanes` worker lanes, so
 //! enclave transitions per migration drop from ~2×chunks towards
 //! ~2×⌈chunks/batch⌉ and the AES-GCM cost (the wall-clock bottleneck)
 //! is spread across cores. Results land in `BENCH_throughput.json`

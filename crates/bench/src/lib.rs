@@ -109,10 +109,7 @@ impl sgx_sim::enclave::EnclaveCode for EnvelopedNative {
         input: &[u8],
     ) -> Result<Vec<u8>, SgxError> {
         let payload = self.0.ecall(env, opcode, input)?;
-        let mut w = sgx_sim::wire::WireWriter::new();
-        w.bytes(&payload);
-        w.u8(0); // no persist blob
-        Ok(w.finish())
+        Ok(mig_core::harness::encode_envelope(&payload, None))
     }
 }
 
@@ -597,16 +594,16 @@ pub fn concurrent_migration_cell(
 /// off. `release_ms` is the destination ME host's wall-clock duration
 /// of the TRANSFER ECALL that completed the stream and released the
 /// payload — everything serialized between the final chunk's arrival
-/// and the state leaving the enclave. Speculation moves the whole-state
-/// digest (and, for deltas, the base staging and page overlay) off that
-/// path, so its cell should be markedly smaller at large state sizes.
+/// and the state leaving the enclave. Speculation only moves a delta's
+/// base staging and page overlay off that path; a full stream's release
+/// is the same root check either way, so for full streams the two cells
+/// should match.
 #[derive(Clone, Copy, Debug)]
 pub struct SpeculativeCell {
-    /// Time-to-release with speculative restore (staged prefixes,
-    /// incremental digest), in ms.
+    /// Time-to-release with speculative restore, in ms.
     pub speculative_release_ms: f64,
-    /// Time-to-release with the legacy unseal-after-complete path, in
-    /// ms.
+    /// Time-to-release with speculative restore off (delta applied
+    /// after the last chunk), in ms.
     pub unseal_release_ms: f64,
 }
 

@@ -19,8 +19,9 @@ pub enum MigError {
     /// The persistent blob references monotonic counters that no longer
     /// exist — the signature of a fork attempt with stale state (§VII-A).
     StaleState,
-    /// The bulk container returned with the persistent header is not the
-    /// one the header's root names (an older or tampered container).
+    /// A bulk container is not the one its root names: returned with the
+    /// persistent header, or relayed beside a migration message (an
+    /// older, foreign or tampered container).
     BulkMismatch,
     /// The library has not completed initialization (`migration_init`).
     NotInitialized,
@@ -47,8 +48,8 @@ pub enum MigError {
     /// A protocol message arrived out of order or for an unknown session.
     Protocol(&'static str),
     /// A streamed state transfer violated the chunk protocol: wrong
-    /// chunk index, broken HMAC chain, digest mismatch, or inconsistent
-    /// stream geometry.
+    /// chunk index or length, a delta that does not apply, or
+    /// inconsistent stream geometry.
     Transfer(&'static str),
     /// A session-layer state machine (`me::session::SenderFsm` /
     /// `me::session::ReceiverFsm`) was driven with an event its current
@@ -111,7 +112,7 @@ impl fmt::Display for MigError {
                 )
             }
             MigError::BulkMismatch => {
-                write!(f, "bulk container does not match the persisted root")
+                write!(f, "bulk container does not match its root")
             }
             MigError::NotInitialized => write!(f, "migration library not initialized"),
             MigError::AwaitingMigration => {

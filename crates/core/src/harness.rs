@@ -34,7 +34,9 @@ pub mod ops {
     pub const ME_MSG3: u32 = 0x1002;
     /// `migration_start` (Listing 1).
     pub const MIG_START: u32 = 0x1003;
-    /// Encrypted ME→library message in; optional encrypted reply out.
+    /// ME→library relay frame in (`crate::msgs::encode_relay`: the
+    /// sealed message plus the bulk container the host relays beside
+    /// it); optional encrypted reply out.
     pub const ME_CT: u32 = 0x1004;
     /// Library phase query (diagnostics).
     pub const PHASE: u32 = 0x1005;
@@ -104,26 +106,61 @@ impl<A: AppLogic> MigratableEnclave<A> {
     }
 }
 
-/// Encodes the uniform ECALL response envelope: payload + optional
-/// persist blob.
-fn envelope(payload: &[u8], persist: Option<&[u8]>) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.bytes(payload);
-    crate::me::write_opt(&mut w, persist);
-    w.finish()
+/// Encodes the uniform ECALL response envelope: the persist record (if
+/// any), then the payload, its `u32` length and a has-record flag. The
+/// record leads so the host can keep it in the envelope's own buffer
+/// ([`split_envelope`]) — for a multi-megabyte bulk container, no copy.
+#[must_use]
+pub fn encode_envelope(payload: &[u8], persist: Option<Vec<u8>>) -> Vec<u8> {
+    let flag = u8::from(persist.is_some());
+    let mut out = persist.unwrap_or_default();
+    out.reserve_exact(payload.len() + 5);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(
+        &u32::try_from(payload.len())
+            .unwrap_or(u32::MAX)
+            .to_le_bytes(),
+    );
+    out.push(flag);
+    out
 }
 
-/// Decodes the response envelope (host side).
+/// Decodes the response envelope (host side) into payload and persist
+/// record, copying both.
 ///
 /// # Errors
 ///
 /// [`SgxError::Decode`] on malformed input.
 pub fn open_envelope(bytes: &[u8]) -> Result<(Vec<u8>, Option<Vec<u8>>), SgxError> {
-    let mut r = WireReader::new(bytes);
-    let payload = r.bytes_vec()?;
-    let persist = crate::me::read_opt(&mut r)?;
-    r.finish()?;
-    Ok((payload, persist))
+    split_envelope(bytes.to_vec())
+}
+
+/// [`open_envelope`] taking the envelope by value: the persist record is
+/// the envelope's own buffer, truncated, so only the payload is copied.
+///
+/// # Errors
+///
+/// [`SgxError::Decode`] on malformed input.
+pub fn split_envelope(mut bytes: Vec<u8>) -> Result<(Vec<u8>, Option<Vec<u8>>), SgxError> {
+    let (&flag, rest) = bytes.split_last().ok_or(SgxError::Decode)?;
+    let (body, len) = rest
+        .split_at_checked(rest.len().checked_sub(4).ok_or(SgxError::Decode)?)
+        .ok_or(SgxError::Decode)?;
+    let len = u32::from_le_bytes(len.try_into().map_err(|_| SgxError::Decode)?) as usize;
+    let start = body.len().checked_sub(len).ok_or(SgxError::Decode)?;
+    let record = match flag {
+        0 if start == 0 => None,
+        1 => Some(start),
+        _ => return Err(SgxError::Decode),
+    };
+    let payload = body.get(start..).ok_or(SgxError::Decode)?.to_vec();
+    Ok((
+        payload,
+        record.map(|end| {
+            bytes.truncate(end);
+            bytes
+        }),
+    ))
 }
 
 /// Encodes a `MIG_INIT` request (host side).
@@ -191,11 +228,13 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
                     .and_then(|dst| self.lib_mut().and_then(|lib| lib.start_migration(env, dst)))
             }
             ops::ME_CT => self.lib_mut().and_then(|lib| {
-                lib.receive_me_message(env, input).map(|reply| {
-                    let mut w = WireWriter::new();
-                    crate::me::write_opt(&mut w, reply.as_deref());
-                    w.finish()
-                })
+                let (ciphertext, container) = crate::msgs::decode_relay(input)?;
+                lib.receive_me_message(env, ciphertext, container)
+                    .map(|reply| {
+                        let mut w = WireWriter::new();
+                        crate::me::write_opt(&mut w, reply.as_deref());
+                        w.finish()
+                    })
             }),
             ops::PHASE => {
                 let phase = match &self.lib {
@@ -225,7 +264,7 @@ impl<A: AppLogic> EnclaveCode for MigratableEnclave<A> {
         };
         let payload = payload.map_err(SgxError::from)?;
         let persist = self.lib.as_mut().and_then(MigrationLibrary::take_persist);
-        Ok(envelope(&payload, persist.as_deref()))
+        Ok(encode_envelope(&payload, persist))
     }
 }
 
@@ -235,15 +274,40 @@ mod tests {
 
     #[test]
     fn envelope_round_trip() {
-        let enc = envelope(b"payload", Some(b"persist me"));
+        let enc = encode_envelope(b"payload", Some(b"persist me".to_vec()));
         let (payload, persist) = open_envelope(&enc).unwrap();
         assert_eq!(payload, b"payload");
         assert_eq!(persist.unwrap(), b"persist me");
+        assert_eq!(
+            split_envelope(enc).unwrap(),
+            (b"payload".to_vec(), Some(b"persist me".to_vec()))
+        );
 
-        let enc = envelope(b"", None);
-        let (payload, persist) = open_envelope(&enc).unwrap();
-        assert!(payload.is_empty());
-        assert!(persist.is_none());
+        for enc in [encode_envelope(b"", None), encode_envelope(b"x", None)] {
+            let (payload, persist) = open_envelope(&enc).unwrap();
+            assert_eq!(payload.len() + 5, enc.len());
+            assert!(persist.is_none());
+        }
+    }
+
+    #[test]
+    fn malformed_envelopes_rejected() {
+        let enc = encode_envelope(b"payload", Some(b"persist me".to_vec()));
+        for cut in 0..enc.len() {
+            let _ = open_envelope(&enc[..cut]);
+        }
+        for bytes in [&[][..], &[1], &[0, 0, 0, 0, 0, 0], &[9, 0, 0, 0, 0, 2]] {
+            assert!(open_envelope(bytes).is_err());
+        }
+        // A payload length reaching past the start, or a record without
+        // its flag, is refused.
+        let mut bad = enc.clone();
+        let n = bad.len();
+        bad[n - 5..n - 1].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(split_envelope(bad).is_err());
+        let mut bad = enc;
+        *bad.last_mut().unwrap() = 0;
+        assert!(open_envelope(&bad).is_err());
     }
 
     #[test]

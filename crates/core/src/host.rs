@@ -7,11 +7,12 @@
 //! is adversary-visible; the protocol's security rests entirely on what
 //! the enclaves verify.
 
-use crate::harness::{encode_init, open_envelope, ops as lib_ops};
-use crate::library::InitRequest;
+use crate::harness::{encode_init, ops as lib_ops, split_envelope};
+use crate::library::{split_persist_record, InitRequest};
 use crate::me::{
-    ops as me_ops, read_opt, MeAction, RaResponseAuth, StreamFrames, TelemetryReport, FRAME_BATCH,
+    ops as me_ops, read_opt, read_opt_ref, MeAction, RaResponseAuth, TelemetryReport, FRAME_BATCH,
 };
+use crate::msgs::write_relay;
 use crate::remote_attest::RaHello;
 use crate::transfer::checkpoint::CheckpointStore;
 use cloud_sim::clock::{SimClock, SimTime};
@@ -33,28 +34,41 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 /// Parsed output of the ME's `LA_MSG2` ECALL: msg3, attested
-/// measurement, optional forward ciphertext.
-type LaMsg2Output = (Vec<u8>, MrEnclave, Option<Vec<u8>>);
+/// measurement, optional forward relay frame (borrowed from the output).
+type LaMsg2Output<'a> = (&'a [u8], MrEnclave, Option<&'a [u8]>);
 /// Parsed output of the ME's `TRANSFER` ECALL: kind, measurement,
-/// optional trace id, optional forward ciphertext, optional ack
-/// ciphertext.
-type TransferOutput = (
+/// optional trace id, optional forward relay frame, optional ack
+/// ciphertext (borrowed from the output).
+type TransferOutput<'a> = (
     u8,
     MrEnclave,
     Option<TraceId>,
-    Option<Vec<u8>>,
-    Option<Vec<u8>>,
+    Option<&'a [u8]>,
+    Option<&'a [u8]>,
 );
 /// Parsed output of the ME's `ACK` ECALL: kind, measurement, optional
 /// trace id, optional completion ciphertext, and kind-tagged follow-on
 /// stream frames for the peer.
-type AckOutput = (
+type AckOutput<'a> = (
     u8,
     MrEnclave,
     Option<TraceId>,
-    Option<Vec<u8>>,
-    StreamFrames,
+    Option<&'a [u8]>,
+    BorrowedFrames<'a>,
 );
+/// Kind-tagged stream frames borrowed from an ECALL output.
+type BorrowedFrames<'a> = Vec<(u8, &'a [u8])>;
+
+/// Reads `u32` count kind-tagged stream frames, borrowed from the input.
+fn read_frames<'a>(r: &mut WireReader<'a>) -> Result<BorrowedFrames<'a>, SgxError> {
+    let n = r.u32()? as usize;
+    let mut frames = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        let kind = r.u8()?;
+        frames.push((kind, r.bytes()?));
+    }
+    Ok(frames)
+}
 
 /// Reads the optional 8-byte trace id the extended ECALL outputs carry.
 fn read_trace(r: &mut WireReader<'_>) -> Result<Option<TraceId>, SgxError> {
@@ -95,9 +109,11 @@ pub mod tags {
     pub const LA_MSG2: u8 = 3;
     /// ME → app: DH Msg3.
     pub const LA_MSG3: u8 = 4;
-    /// App → ME: encrypted library message.
+    /// App → ME: encrypted library message, with the bulk container
+    /// relayed beside it ([`crate::msgs::encode_relay`]).
     pub const LIB_MSG: u8 = 5;
-    /// ME → app: encrypted ME message (incoming migration / completion).
+    /// ME → app: encrypted ME message (incoming migration / completion),
+    /// with the bulk container relayed beside it.
     pub const ME_FORWARD: u8 = 6;
     /// ME ↔ ME: remote-attestation hello.
     pub const RA_HELLO: u8 = 7;
@@ -131,10 +147,19 @@ fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-fn unframe(bytes: &[u8]) -> Result<(u8, Vec<u8>), SgxError> {
+/// A relay frame (see [`crate::msgs::encode_relay`]) under `tag`, built
+/// in one allocation: the bulk container is copied once, into the frame.
+fn relay_frame(tag: u8, ciphertext: &[u8], container: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(13 + ciphertext.len() + container.len());
+    w.u8(tag);
+    write_relay(&mut w, ciphertext, container);
+    w.finish()
+}
+
+fn unframe(bytes: &[u8]) -> Result<(u8, &[u8]), SgxError> {
     let mut r = WireReader::new(bytes);
     let tag = r.u8()?;
-    let payload = r.bytes_vec()?;
+    let payload = r.bytes()?;
     r.finish()?;
     Ok((tag, payload))
 }
@@ -576,9 +601,9 @@ impl MeHost {
         };
         let parsed: Result<LaMsg2Output, SgxError> = (|| {
             let mut r = WireReader::new(&out);
-            let msg3 = r.bytes_vec()?;
+            let msg3 = r.bytes()?;
             let mr = MrEnclave(r.array()?);
-            let forward = read_opt(&mut r)?;
+            let forward = read_opt_ref(&mut r)?;
             r.finish()?;
             Ok((msg3, mr, forward))
         })();
@@ -586,23 +611,23 @@ impl MeHost {
             Ok((msg3, mr, forward)) => {
                 self.app_by_mr.insert(mr, from.clone());
                 self.mr_by_app.insert(from.clone(), mr);
-                net.send(&self.endpoint, from, frame(tags::LA_MSG3, &msg3));
-                if let Some(ct) = forward {
-                    net.send(&self.endpoint, from, frame(tags::ME_FORWARD, &ct));
+                net.send(&self.endpoint, from, frame(tags::LA_MSG3, msg3));
+                if let Some(relay) = forward {
+                    net.send(&self.endpoint, from, frame(tags::ME_FORWARD, relay));
                 }
             }
             Err(e) => self.fail("parse la msg2 output", e),
         }
     }
 
-    fn on_lib_msg(&mut self, net: &mut Network, from: &Endpoint, ct: &[u8]) {
+    fn on_lib_msg(&mut self, net: &mut Network, from: &Endpoint, relay: &[u8]) {
         let Some(mr) = self.mr_by_app.get(from).copied() else {
             return self.fail("lib msg", "no attested session for sender");
         };
-        let mut w = WireWriter::new();
-        w.array(&mr.0);
-        w.bytes(ct);
-        match self.enclave.ecall(me_ops::LIB_MSG, &w.finish()) {
+        let mut input = Vec::with_capacity(32 + relay.len());
+        input.extend_from_slice(&mr.0);
+        input.extend_from_slice(relay);
+        match self.enclave.ecall(me_ops::LIB_MSG, &input) {
             Ok(action) => self.handle_action(net, &action),
             Err(e) => self.fail("lib msg", e),
         }
@@ -646,15 +671,10 @@ impl MeHost {
             Ok(out) => out,
             Err(e) => return self.fail("ra response", e),
         };
-        let parsed: Result<(Vec<u8>, StreamFrames), SgxError> = (|| {
+        let parsed: Result<(&[u8], BorrowedFrames), SgxError> = (|| {
             let mut r = WireReader::new(&out);
-            let finish = r.bytes_vec()?;
-            let n = r.u32()? as usize;
-            let mut transfers = Vec::with_capacity(n);
-            for _ in 0..n {
-                let kind = r.u8()?;
-                transfers.push((kind, r.bytes_vec()?));
-            }
+            let finish = r.bytes()?;
+            let transfers = read_frames(&mut r)?;
             r.finish()?;
             Ok((finish, transfers))
         })();
@@ -663,13 +683,13 @@ impl MeHost {
                 // The channel is established on our side once the
                 // finish message goes out.
                 self.negotiate_end(Self::channel_trace(self.endpoint.machine, from.machine));
-                net.send(&self.endpoint, from, frame(tags::RA_FINISH, &finish));
+                net.send(&self.endpoint, from, frame(tags::RA_FINISH, finish));
                 let streamed = !transfers.is_empty();
                 for (kind, transfer) in transfers {
                     net.send(
                         &self.endpoint,
                         from,
-                        frame(stream_frame_tag(kind), &transfer),
+                        frame(stream_frame_tag(kind), transfer),
                     );
                 }
                 if streamed {
@@ -725,12 +745,12 @@ impl MeHost {
 
     /// Reads one `TRANSFER`-format output record (shared by the
     /// single-frame and batched paths).
-    fn read_transfer_record(r: &mut WireReader<'_>) -> Result<TransferOutput, SgxError> {
+    fn read_transfer_record<'a>(r: &mut WireReader<'a>) -> Result<TransferOutput<'a>, SgxError> {
         let kind = r.u8()?;
         let mr = MrEnclave(r.array()?);
         let trace = read_trace(r)?;
-        let forward = read_opt(r)?;
-        let ack = read_opt(r)?;
+        let forward = read_opt_ref(r)?;
+        let ack = read_opt_ref(r)?;
         Ok((kind, mr, trace, forward, ack))
     }
 
@@ -763,15 +783,15 @@ impl MeHost {
             (4, Some(tid)) => self.record_edge(tid, now, Edge::DeltaFallback),
             _ => {}
         }
-        if let Some(ct) = forward {
+        if let Some(relay) = forward {
             if let Some(app) = self.app_by_mr.get(&mr).cloned() {
-                net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, &ct));
+                net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, relay));
             } else {
                 self.fail("ra transfer", "forward with no app endpoint");
             }
         }
         if let Some(ct) = ack {
-            net.send(&self.endpoint, from, frame(tags::RA_ACK, &ct));
+            net.send(&self.endpoint, from, frame(tags::RA_ACK, ct));
         }
     }
 
@@ -797,8 +817,7 @@ impl MeHost {
             let n = r.u32()? as usize;
             let mut records = Vec::with_capacity(n);
             for _ in 0..n {
-                let bytes = r.bytes_vec()?;
-                let mut rr = WireReader::new(&bytes);
+                let mut rr = WireReader::new(r.bytes()?);
                 let record = Self::read_transfer_record(&mut rr)?;
                 rr.finish()?;
                 records.push(record);
@@ -835,13 +854,8 @@ impl MeHost {
             let kind = r.u8()?;
             let mr = MrEnclave(r.array()?);
             let trace = read_trace(&mut r)?;
-            let complete = read_opt(&mut r)?;
-            let n = r.u32()? as usize;
-            let mut frames = Vec::with_capacity(n);
-            for _ in 0..n {
-                let frame_kind = r.u8()?;
-                frames.push((frame_kind, r.bytes_vec()?));
-            }
+            let complete = read_opt_ref(&mut r)?;
+            let frames = read_frames(&mut r)?;
             r.finish()?;
             Ok((kind, mr, trace, complete, frames))
         })();
@@ -867,7 +881,7 @@ impl MeHost {
                 if kind == 1 {
                     // Delivered: notify the (frozen) source app if known.
                     if let (Some(ct), Some(app)) = (complete, self.app_by_mr.get(&mr).cloned()) {
-                        net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, &ct));
+                        net.send(&self.endpoint, &app, frame(tags::ME_FORWARD, ct));
                     }
                 }
                 // Follow-on stream frames (window slide / resume) go back
@@ -877,7 +891,7 @@ impl MeHost {
                     net.send(
                         &self.endpoint,
                         from,
-                        frame(stream_frame_tag(frame_kind), &ct),
+                        frame(stream_frame_tag(frame_kind), ct),
                     );
                 }
                 if streamed {
@@ -1052,14 +1066,14 @@ impl Service for MeHost {
         };
         match tag {
             tags::LA_START => self.on_la_start(net, from),
-            tags::LA_MSG2 => self.on_la_msg2(net, from, &body),
-            tags::LIB_MSG => self.on_lib_msg(net, from, &body),
-            tags::RA_HELLO => self.on_ra_hello(net, from, &body),
-            tags::RA_RESPONSE => self.on_ra_response(net, from, &body),
-            tags::RA_FINISH => self.on_ra_finish(from, &body),
-            tags::RA_TRANSFER => self.on_ra_transfer(net, from, &body),
-            tags::RA_TRANSFER_BATCH => self.on_ra_transfer_batch(net, from, &body),
-            tags::RA_ACK => self.on_ra_ack(net, from, &body),
+            tags::LA_MSG2 => self.on_la_msg2(net, from, body),
+            tags::LIB_MSG => self.on_lib_msg(net, from, body),
+            tags::RA_HELLO => self.on_ra_hello(net, from, body),
+            tags::RA_RESPONSE => self.on_ra_response(net, from, body),
+            tags::RA_FINISH => self.on_ra_finish(from, body),
+            tags::RA_TRANSFER => self.on_ra_transfer(net, from, body),
+            tags::RA_TRANSFER_BATCH => self.on_ra_transfer_batch(net, from, body),
+            tags::RA_ACK => self.on_ra_ack(net, from, body),
             other => self.fail("unknown tag", other),
         }
     }
@@ -1154,7 +1168,7 @@ impl AppHost {
         host.me_endpoint = Endpoint::new(host.endpoint.machine, ME_SERVICE);
         let request = encode_init(&expected_me, &init);
         let out = host.enclave.ecall(lib_ops::MIG_INIT, &request)?;
-        host.store_persist(&out)?;
+        host.store_persist(out)?;
         Ok(host)
     }
 
@@ -1188,31 +1202,39 @@ impl AppHost {
         &self.checkpoints
     }
 
-    fn store_persist(&mut self, envelope_bytes: &[u8]) -> Result<Vec<u8>, SgxError> {
-        let (payload, persist) = open_envelope(envelope_bytes)?;
+    fn store_persist(&mut self, envelope: Vec<u8>) -> Result<Vec<u8>, SgxError> {
+        let (payload, persist) = split_envelope(envelope)?;
         if let Some(blob) = persist {
-            // The record (sealed header ‖ bulk container) goes down in
-            // one write, so a crash never pairs a header with another
-            // container. A failed or torn write surfaces to the caller:
-            // the enclave has already advanced, but the host must not
-            // pretend the state is durable when the platter rejected it.
-            self.disk
-                .try_put(&self.state_key(), blob.clone())
-                .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
-            // Periodic durable checkpoint generation (the "C" of CTR):
-            // the latest-but-one generation survives even a crash
-            // mid-write of the newest.
-            self.persists_since_checkpoint += 1;
-            if self.persists_since_checkpoint >= CHECKPOINT_INTERVAL
-                || self.checkpoints.latest_generation().is_none()
-            {
-                self.persists_since_checkpoint = 0;
-                self.checkpoints
-                    .put(blob)
-                    .map_err(|e| SgxError::Enclave(format!("checkpoint write: {e}")))?;
-            }
+            self.write_record(blob)?;
         }
         Ok(payload)
+    }
+
+    /// Stores a persist record the library produced.
+    fn write_record(&mut self, blob: Vec<u8>) -> Result<(), SgxError> {
+        // The record (sealed header ‖ bulk container) goes down in
+        // one write, so a crash never pairs a header with another
+        // container. A failed or torn write surfaces to the caller:
+        // the enclave has already advanced, but the host must not
+        // pretend the state is durable when the platter rejected it.
+        // Periodic durable checkpoint generation (the "C" of CTR):
+        // the latest-but-one generation survives even a crash
+        // mid-write of the newest. Only then does the record need a
+        // second copy.
+        self.persists_since_checkpoint += 1;
+        let checkpoint = (self.persists_since_checkpoint >= CHECKPOINT_INTERVAL
+            || self.checkpoints.latest_generation().is_none())
+        .then(|| blob.clone());
+        self.disk
+            .try_put(&self.state_key(), blob)
+            .map_err(|e| SgxError::Enclave(format!("persist write: {e}")))?;
+        if let Some(blob) = checkpoint {
+            self.persists_since_checkpoint = 0;
+            self.checkpoints
+                .put(blob)
+                .map_err(|e| SgxError::Enclave(format!("checkpoint write: {e}")))?;
+        }
+        Ok(())
     }
 
     /// Kicks off local attestation with the machine's ME.
@@ -1239,7 +1261,7 @@ impl AppHost {
     /// Propagates enclave errors.
     pub fn call(&mut self, opcode: u32, input: &[u8]) -> Result<Vec<u8>, SgxError> {
         let out = self.enclave.ecall(opcode, input)?;
-        self.store_persist(&out)
+        self.store_persist(out)
     }
 
     /// Starts a migration to `destination` (`migration_start`,
@@ -1261,9 +1283,20 @@ impl AppHost {
         w.u64(destination.0);
         let out = self.enclave.ecall(lib_ops::MIG_START, &w.finish())?;
         // The frozen state blob must hit the disk before the request is
-        // relayed (crash consistency; §V-C ordering).
-        let ct = self.store_persist(&out)?;
-        net.send(&self.endpoint, &self.me_endpoint, frame(tags::LIB_MSG, &ct));
+        // relayed (crash consistency; §V-C ordering). The bulk container
+        // travels from that record beside the sealed request, as the
+        // MSK-sealed ciphertext it is; the ME checks it against the root
+        // inside the request.
+        let (ct, record) = split_envelope(out)?;
+        let relay = match record {
+            Some(record) => {
+                let relay = relay_frame(tags::LIB_MSG, &ct, split_persist_record(&record)?.1);
+                self.write_record(record)?;
+                relay
+            }
+            None => relay_frame(tags::LIB_MSG, &ct, &[]),
+        };
+        net.send(&self.endpoint, &self.me_endpoint, relay);
         self.status = AppStatus::MigratingOut;
         Ok(())
     }
@@ -1273,12 +1306,12 @@ impl AppHost {
         self.status = AppStatus::Failed;
     }
 
-    fn on_me_forward(&mut self, net: &mut Network, ct: &[u8]) {
-        let out = match self.enclave.ecall(lib_ops::ME_CT, ct) {
+    fn on_me_forward(&mut self, net: &mut Network, relay: &[u8]) {
+        let out = match self.enclave.ecall(lib_ops::ME_CT, relay) {
             Ok(out) => out,
             Err(e) => return self.fail("me forward", e),
         };
-        let payload = match self.store_persist(&out) {
+        let payload = match self.store_persist(out) {
             Ok(p) => p,
             Err(e) => return self.fail("me forward persist", e),
         };
@@ -1294,7 +1327,7 @@ impl AppHost {
                 net.send(
                     &self.endpoint,
                     &self.me_endpoint,
-                    frame(tags::LIB_MSG, &done_ct),
+                    relay_frame(tags::LIB_MSG, &done_ct, &[]),
                 );
                 self.status = AppStatus::Ready;
             }
@@ -1316,8 +1349,8 @@ impl Service for AppHost {
             Err(e) => return self.fail("unframe", e),
         };
         match tag {
-            tags::LA_MSG1 => match self.enclave.ecall(lib_ops::ME_MSG1, &body) {
-                Ok(out) => match self.store_persist(&out) {
+            tags::LA_MSG1 => match self.enclave.ecall(lib_ops::ME_MSG1, body) {
+                Ok(out) => match self.store_persist(out) {
                     Ok(msg2) => net.send(
                         &self.endpoint,
                         &self.me_endpoint,
@@ -1327,9 +1360,9 @@ impl Service for AppHost {
                 },
                 Err(e) => self.fail("la msg1", e),
             },
-            tags::LA_MSG3 => match self.enclave.ecall(lib_ops::ME_MSG3, &body) {
+            tags::LA_MSG3 => match self.enclave.ecall(lib_ops::ME_MSG3, body) {
                 Ok(out) => {
-                    if let Err(e) = self.store_persist(&out) {
+                    if let Err(e) = self.store_persist(out) {
                         return self.fail("la msg3 persist", e);
                     }
                     if self.status == AppStatus::AttestingMe {
@@ -1338,7 +1371,7 @@ impl Service for AppHost {
                 }
                 Err(e) => self.fail("la msg3", e),
             },
-            tags::ME_FORWARD => self.on_me_forward(net, &body),
+            tags::ME_FORWARD => self.on_me_forward(net, body),
             other => self.fail("unexpected tag", other),
         }
     }

@@ -33,14 +33,17 @@
 //!   in §III.
 //! * [`transfer`] — the CTR-style extension beyond the paper: a durable
 //!   [`transfer::checkpoint::CheckpointStore`] on the untrusted disk and
-//!   a chunked, resumable, HMAC-chained streaming engine
-//!   ([`transfer::chunker`]) that replaces the single-shot transfer for
-//!   state above [`transfer::TransferConfig::stream_threshold`]. Apps
-//!   stage bulk state as plaintext segments via
+//!   a chunked, resumable streaming engine ([`transfer::chunker`]) that
+//!   replaces the single-shot transfer for state above
+//!   [`transfer::TransferConfig::stream_threshold`]. Apps stage bulk
+//!   state as plaintext segments via
 //!   [`library::MigrationLibrary::stage_bulk_segments`], which seals
-//!   them into a root-bound container ([`library::bulk`]); the Migration
-//!   Enclaves pipeline it as windowed `Chunk` messages over the attested
-//!   channel, persist per-chunk progress, and — driven by
+//!   them into a root-bound container ([`library::bulk`]). Only Table I
+//!   and that root pass through the library's channel to its ME; the
+//!   container moves as the ciphertext it is, checked against the root
+//!   ([`library::bulk::verify_root`]) on arrival and before release. The
+//!   Migration Enclaves pipeline it as windowed `Chunk` messages over the
+//!   attested channel, persist per-chunk progress, and — driven by
 //!   [`datacenter::Datacenter::migrate_app_resumable`] /
 //!   [`datacenter::Datacenter::resume_migration`] — recover a
 //!   mid-transfer machine crash from the last acknowledged chunk.

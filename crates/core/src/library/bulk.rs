@@ -25,12 +25,19 @@
 //! and tag: the container's bytes stay the same wherever the state did,
 //! which keeps the ME's dirty-page deltas small.
 //!
-//! What is verified where: `InitRequest::Restore` checks the root
-//! against the container the host returned, and
-//! [`super::MigrationLibrary::open_bulk`] checks the index and every
-//! segment before handing plaintext to the app. Splicing a segment from
-//! another container fails the index hash; presenting a whole older
-//! container is left to the app's own version-vs-counter check.
+//! What is verified where: `InitRequest::Restore` and an incoming
+//! migration's install check the root against the container the host
+//! returned or relayed, and [`super::MigrationLibrary::open_bulk`]
+//! checks the index and every segment before handing plaintext to the
+//! app. Splicing a segment from another container fails the index hash;
+//! presenting a whole older container is left to the app's own
+//! version-vs-counter check.
+//!
+//! On migration the container travels as the ciphertext it already is,
+//! beside the small sealed channel messages that carry its root.
+//! [`verify_root`] checks a container against a root without the MSK,
+//! so the Migration Enclaves can refuse a host-swapped or damaged
+//! container on arrival and before release.
 
 use crate::error::MigError;
 use mig_crypto::gcm::AesGcm;
@@ -149,18 +156,15 @@ fn slice(bytes: &[u8], span: Range<usize>) -> Result<&[u8], MigError> {
         .ok_or(MigError::SessionInvariant("bulk layout out of range"))
 }
 
-/// Verifies the sealed index and returns its entries: the SHA-256 of
-/// every sealed segment.
-fn open_index(aead: &AesGcm, bytes: &[u8], layout: &Layout) -> Result<Vec<[u8; 32]>, MigError> {
-    let item = slice(bytes, layout.index.clone())?;
-    let mut r = WireReader::new(item);
-    let nonce: [u8; NONCE_LEN] = r.array()?;
-    let tag: [u8; 16] = r.array()?;
-    let plain = item
-        .get(NONCE_LEN + 16..)
-        .ok_or(MigError::Sgx(SgxError::Decode))?;
-    aead.open(&nonce, &[INDEX_AAD, plain].concat(), &tag)
-        .map_err(|_| MigError::Sgx(SgxError::MacMismatch))?;
+/// Splits the sealed index into `nonce ‖ tag` and its entries.
+fn index_parts<'a>(bytes: &'a [u8], layout: &Layout) -> Result<(&'a [u8], &'a [u8]), MigError> {
+    slice(bytes, layout.index.clone())?
+        .split_at_checked(NONCE_LEN + 16)
+        .ok_or(MigError::Sgx(SgxError::Decode))
+}
+
+/// Decodes the index entries: the SHA-256 of every sealed segment.
+fn index_entries(plain: &[u8], layout: &Layout) -> Result<Vec<[u8; 32]>, MigError> {
     let mut r = WireReader::new(plain);
     let n = r.u32()? as usize;
     if n != layout.segments.len() || r.remaining() != 32 * n {
@@ -174,6 +178,61 @@ fn open_index(aead: &AesGcm, bytes: &[u8], layout: &Layout) -> Result<Vec<[u8; 3
     Ok(hashes)
 }
 
+/// Verifies the sealed index and returns its entries.
+fn open_index(aead: &AesGcm, bytes: &[u8], layout: &Layout) -> Result<Vec<[u8; 32]>, MigError> {
+    let (auth, plain) = index_parts(bytes, layout)?;
+    let mut r = WireReader::new(auth);
+    let nonce: [u8; NONCE_LEN] = r.array()?;
+    let tag: [u8; 16] = r.array()?;
+    aead.open(&nonce, &[INDEX_AAD, plain].concat(), &tag)
+        .map_err(|_| MigError::Sgx(SgxError::MacMismatch))?;
+    index_entries(plain, layout)
+}
+
+/// Checks that `bytes` is exactly the container `root` names: the
+/// framing decodes, `SHA-256(sealed index) == root`, and every sealed
+/// segment hashes to its index entry. Needs no key — the index entries
+/// are authenticated by the root itself — so a Migration Enclave can
+/// check a relayed container it cannot open. Given collision-resistant
+/// hashing, a container that passes is byte-identical to the one the
+/// library staged under `root`.
+///
+/// # Errors
+///
+/// [`SgxError::Decode`] for malformed framing; [`MigError::BulkMismatch`]
+/// when the index is not the one `root` names;
+/// [`SgxError::MacMismatch`] when a segment differs from its entry.
+pub fn verify_root(bytes: &[u8], root: &[u8; 32]) -> Result<(), MigError> {
+    let layout = Layout::parse(bytes)?;
+    if !mig_crypto::ct::ct_eq(&sha256(slice(bytes, layout.index.clone())?), root) {
+        return Err(MigError::BulkMismatch);
+    }
+    let (_, plain) = index_parts(bytes, &layout)?;
+    let hashes = index_entries(plain, &layout)?;
+    for (span, hash) in layout.segments.iter().zip(&hashes) {
+        if !mig_crypto::ct::ct_eq(&sha256(slice(bytes, span.clone())?), hash) {
+            return Err(MigError::Sgx(SgxError::MacMismatch));
+        }
+    }
+    Ok(())
+}
+
+/// Checks a relayed bulk payload against the root its sealed message
+/// carried: `None` admits only an empty payload, `Some` runs
+/// [`verify_root`].
+///
+/// # Errors
+///
+/// [`MigError::BulkMismatch`] for bytes without a root; otherwise as
+/// [`verify_root`].
+pub fn verify_relayed(bytes: &[u8], root: Option<&[u8; 32]>) -> Result<(), MigError> {
+    match root {
+        Some(root) => verify_root(bytes, root),
+        None if bytes.is_empty() => Ok(()),
+        None => Err(MigError::BulkMismatch),
+    }
+}
+
 /// The staged container: its encoding plus what the library needs to
 /// update it without reading it again.
 pub(super) struct Container {
@@ -185,27 +244,30 @@ pub(super) struct Container {
 }
 
 impl Container {
-    /// Adopts an encoded container sealed under `msk`, reading its
-    /// index. With `root`, the container must be the one it names.
+    /// Adopts the encoded container `root` names, sealed under `msk`:
+    /// checks the root and opens the index, not the segments (those are
+    /// checked when the app opens the container). No root admits only
+    /// an empty container, which stages nothing.
     pub(super) fn decode(
         msk: [u8; 16],
-        bytes: Vec<u8>,
+        bytes: &[u8],
         root: Option<&[u8; 32]>,
-    ) -> Result<Self, MigError> {
-        let layout = Layout::parse(&bytes)?;
-        let actual = sha256(slice(&bytes, layout.index.clone())?);
-        if let Some(root) = root {
-            if !mig_crypto::ct::ct_eq(&actual, root) {
-                return Err(MigError::BulkMismatch);
-            }
+    ) -> Result<Option<Self>, MigError> {
+        let Some(root) = root else {
+            return verify_relayed(bytes, None).map(|()| None);
+        };
+        let layout = Layout::parse(bytes)?;
+        let actual = sha256(slice(bytes, layout.index.clone())?);
+        if !mig_crypto::ct::ct_eq(&actual, root) {
+            return Err(MigError::BulkMismatch);
         }
-        let hashes = open_index(&AesGcm::new(msk), &bytes, &layout)?;
-        Ok(Container {
-            bytes,
+        let hashes = open_index(&AesGcm::new(msk), bytes, &layout)?;
+        Ok(Some(Container {
+            bytes: bytes.to_vec(),
             layout,
             hashes,
             root: actual,
-        })
+        }))
     }
 
     pub(super) fn bytes(&self) -> &[u8] {
@@ -416,5 +478,71 @@ impl OpenedBulk<'_> {
             hashes,
             plaintext,
         })
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// Encodes a container whose segment items are `items` as given — not
+    /// sealed, which [`verify_root`] never needs — and returns it with its
+    /// root (fixtures for the release-gate tests).
+    pub(crate) fn test_container(items: &[Vec<u8>]) -> (Vec<u8>, [u8; 32]) {
+        let mut entries = WireWriter::new();
+        entries.u32(items.len() as u32);
+        for item in items {
+            entries.array(&sha256(item));
+        }
+        let mut sealed_index = vec![0u8; NONCE_LEN + 16];
+        sealed_index.extend_from_slice(&entries.finish());
+        let sealed: Vec<Option<Vec<u8>>> = items.iter().cloned().map(Some).collect();
+        let (bytes, _) = encode(None, &sealed, &sealed_index).expect("every item is fresh");
+        (bytes, sha256(&sealed_index))
+    }
+
+    fn items(n: usize) -> Vec<Vec<u8>> {
+        (0..n).map(|i| vec![i as u8; 100 + i]).collect()
+    }
+
+    #[test]
+    fn verify_root_accepts_only_the_named_container() {
+        let (bytes, root) = test_container(&items(5));
+        verify_root(&bytes, &root).unwrap();
+        verify_relayed(&bytes, Some(&root)).unwrap();
+        verify_relayed(&[], None).unwrap();
+        assert!(matches!(
+            verify_relayed(&bytes, None),
+            Err(MigError::BulkMismatch)
+        ));
+
+        // Another container's root: the index does not match.
+        let (other, other_root) = test_container(&items(4));
+        assert!(matches!(
+            verify_root(&bytes, &other_root),
+            Err(MigError::BulkMismatch)
+        ));
+        // A segment swapped in from another container under the genuine
+        // index fails its entry.
+        let mut swapped = items(5);
+        swapped[2] = vec![0xEE; 102];
+        let (spliced, _) = test_container(&swapped);
+        let layout = Layout::parse(&bytes).unwrap();
+        let mut evil = bytes.clone();
+        let span = layout.segments[2].clone();
+        let spliced_layout = Layout::parse(&spliced).unwrap();
+        evil[span].copy_from_slice(&spliced[spliced_layout.segments[2].clone()]);
+        assert!(matches!(
+            verify_root(&evil, &root),
+            Err(MigError::Sgx(SgxError::MacMismatch))
+        ));
+        // Every single-byte flip anywhere is refused, never a panic.
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 0x40;
+            assert!(verify_root(&flipped, &root).is_err(), "flip at {i}");
+        }
+        assert!(verify_root(&other, &root).is_err());
+        assert!(verify_root(&bytes[..bytes.len() - 1], &root).is_err());
     }
 }

@@ -25,12 +25,19 @@
 //! state. The untrusted host stores the record in one write and returns
 //! it at every restart via `migration_init`, which refuses a container
 //! whose root does not match the header.
+//!
+//! Migration moves the container the same way: the library's channel
+//! messages to and from the ME carry only Table I and the 32-byte root,
+//! and the hosts relay the MSK-sealed container beside them. Every hop
+//! checks the container against that root ([`bulk::verify_root`]), and
+//! the destination library adopts it only under the root its sealed
+//! `IncomingMigration` names.
 
 pub mod bulk;
 pub mod state;
 
 use crate::error::MigError;
-use crate::msgs::{LibToMe, MeToLib};
+use crate::msgs::{read_root, write_root, LibToMe, MeToLib};
 use crate::secure_channel::{ChannelRole, SecureChannel};
 use bulk::{Container, OpenedBulk};
 use sgx_sim::cpu::KeyPolicy;
@@ -106,8 +113,8 @@ pub struct MigrationLibrary {
     me_session: MeSession,
     pending_persist: Option<Vec<u8>>,
     /// The staged bulk container (the app's working set, sealed here),
-    /// stored next to the persistent header and shipped on migration via
-    /// the streaming transfer engine when large.
+    /// stored next to the persistent header and relayed unchanged on
+    /// migration, bound by its root.
     bulk: Option<Container>,
 }
 
@@ -173,10 +180,7 @@ impl MigrationLibrary {
                 // staged bulk container (see `persist`).
                 let mut r = WireReader::new(&plaintext);
                 let state = LibraryState::from_bytes(r.bytes()?)?;
-                let root: Option<[u8; 32]> = match crate::me::read_opt(&mut r)? {
-                    Some(root) => Some(root.try_into().map_err(|_| SgxError::Decode)?),
-                    None => None,
-                };
+                let root = read_root(&mut r)?;
                 r.finish()?;
                 if state.frozen != 0 {
                     return Err(MigError::Frozen);
@@ -194,15 +198,7 @@ impl MigrationLibrary {
                 }
                 // Rollback of the bulk state alone: the container must be
                 // the one the header names.
-                let bulk = match root {
-                    Some(root) => Some(Container::decode(
-                        state.msk,
-                        container.to_vec(),
-                        Some(&root),
-                    )?),
-                    None if container.is_empty() => None,
-                    None => return Err(MigError::BulkMismatch),
-                };
+                let bulk = Container::decode(state.msk, container, root.as_ref())?;
                 Ok(MigrationLibrary {
                     expected_me,
                     state: Some(state),
@@ -255,7 +251,7 @@ impl MigrationLibrary {
         if let Some(state) = &self.state {
             let mut w = WireWriter::new();
             w.bytes(&state.to_bytes());
-            crate::me::write_opt(&mut w, self.bulk.as_ref().map(|c| c.root().as_slice()));
+            write_root(&mut w, self.bulk.as_ref().map(Container::root));
             let header = env.seal_data(KeyPolicy::MrEnclave, STATE_AAD, &w.finish());
             let container = self.bulk_state().unwrap_or_default();
             let mut record = Vec::with_capacity(header.len() + container.len());
@@ -630,12 +626,14 @@ impl MigrationLibrary {
     /// 2. computes the effective value of every active counter;
     /// 3. **destroys all hardware counters**, requiring success for each
     ///    (fork prevention: obsolete blobs now reference dead counters);
-    /// 4. emits the encrypted `MigrateRequest` for the local ME.
+    /// 4. emits the encrypted `MigrateRequest` (Table I plus the staged
+    ///    container's root) for the local ME.
     ///
-    /// Returns the channel ciphertext the host must relay to the ME. The
-    /// new (frozen) persistent blob is available via
-    /// [`MigrationLibrary::take_persist`] and must be stored before the
-    /// request is relayed.
+    /// Returns the channel ciphertext the host must relay to the ME,
+    /// together with the container from the new (frozen) persist record
+    /// ([`MigrationLibrary::take_persist`], [`split_persist_record`]),
+    /// which must be stored before the request is relayed. The
+    /// container is not re-encrypted: the ME checks it against the root.
     ///
     /// # Errors
     ///
@@ -680,44 +678,50 @@ impl MigrationLibrary {
             env.destroy_counter(&uuids[id])?; // mig-lint: allow(enclave-panic, "active_ids() yields indices into the COUNTER_SLOTS arrays")
         }
 
-        // (4) Build and encrypt the Table I payload plus the staged bulk
-        // state; above the ME's streaming threshold the bulk bytes will
-        // be chunked over the remote channel rather than sent in one
-        // message.
+        // (4) Build and encrypt the Table I payload plus the root of the
+        // staged container. The container itself is already sealed under
+        // the MSK: the host relays it from the frozen persist record
+        // beside this message, and the ME checks it against the root.
         let state = self.state.as_ref().ok_or(MigError::NotInitialized)?;
         let data = state.to_migration_data(&effective)?;
         let msg = LibToMe::MigrateRequest {
             destination,
             data,
-            state: self.bulk_state().unwrap_or_default().to_vec(),
+            root: self.bulk.as_ref().map(|c| *c.root()),
         };
         let plaintext = msg.to_bytes();
         let channel = self.channel()?;
         Ok(channel.seal(&plaintext))
     }
 
-    /// Processes an encrypted ME→library message.
+    /// Processes an encrypted ME→library message and the bulk
+    /// `container` the host relayed beside it (empty when none).
     ///
     /// For [`MeToLib::IncomingMigration`] (destination side, phase
-    /// [`LibPhase::AwaitingMigration`]): installs the MSK and counter
-    /// offsets, creates fresh hardware counters (value 0) for every
-    /// active id, reseals the Table II blob, and returns the encrypted
-    /// `DONE` confirmation to relay back.
+    /// [`LibPhase::AwaitingMigration`]): adopts the container the
+    /// message's root names (index checked here, segments when the app
+    /// opens it), installs the MSK and counter offsets, creates fresh
+    /// hardware counters (value 0) for every active id, reseals the
+    /// Table II blob, and returns the encrypted `DONE` confirmation to
+    /// relay back.
     ///
     /// For [`MeToLib::MigrationComplete`] (source side): returns `None`.
     ///
     /// # Errors
     ///
-    /// Channel/authentication errors; [`MigError::Protocol`] for
-    /// messages that do not fit the current phase.
+    /// Channel/authentication errors; [`MigError::BulkMismatch`] or
+    /// [`SgxError::MacMismatch`] for a container the root does not name;
+    /// [`MigError::Protocol`] for messages that do not fit the current
+    /// phase.
     pub fn receive_me_message(
         &mut self,
         env: &mut EnclaveEnv<'_>,
         ciphertext: &[u8],
+        container: &[u8],
     ) -> Result<Option<Vec<u8>>, MigError> {
         let plaintext = self.channel()?.open(ciphertext)?;
         match MeToLib::from_bytes(&plaintext)? {
-            MeToLib::IncomingMigration { data, state } => {
+            MeToLib::IncomingMigration { data, root } => {
                 // Idempotent re-delivery: if the ME restarted after we
                 // installed but before our DONE arrived, the same payload
                 // is delivered again — acknowledge without reinstalling.
@@ -745,11 +749,7 @@ impl MigrationLibrary {
                 // The migrated container becomes this incarnation's
                 // staged state: the app opens it to restore its working
                 // set, and a further migration re-ships it.
-                let bulk = if state.is_empty() {
-                    None
-                } else {
-                    Some(Container::decode(data.msk, state, None)?)
-                };
+                let bulk = Container::decode(data.msk, container, root.as_ref())?;
                 let mut lib_state = LibraryState::from_migration_data(&data);
                 // Fresh hardware counters start at 0; the transferred
                 // effective values live on as offsets.
@@ -767,7 +767,8 @@ impl MigrationLibrary {
                 let done = LibToMe::Done.to_bytes();
                 Ok(Some(self.channel()?.seal(&done)))
             }
-            MeToLib::MigrationComplete => Ok(None),
+            MeToLib::MigrationComplete if container.is_empty() => Ok(None),
+            MeToLib::MigrationComplete => Err(MigError::Protocol("bulk bytes beside a completion")),
         }
     }
 }

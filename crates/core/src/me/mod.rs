@@ -16,14 +16,18 @@
 //!
 //! * accepts local attestations from application enclaves and keeps one
 //!   attested channel per application MRENCLAVE;
-//! * on an outgoing `MigrateRequest`, mutually remote-attests the peer ME
-//!   (same MRENCLAVE required), authenticates it as belonging to the same
+//! * on an outgoing `MigrateRequest` (Table I plus the root of the
+//!   bulk container the host relays beside it), checks the container
+//!   against the root, mutually remote-attests the peer ME (same
+//!   MRENCLAVE required), authenticates it as belonging to the same
 //!   cloud operator via credential + transcript signatures, checks the
 //!   migration policy, and forwards the migration data over the resulting
 //!   secure channel;
-//! * on an incoming transfer, matches the migrating enclave's MRENCLAVE
-//!   to a locally attested enclave — forwarding immediately — or stores
-//!   the data until such an enclave attests (§VI-A);
+//! * on an incoming transfer, checks the container against the root that
+//!   came with Table I (the release gate of every path), then matches
+//!   the migrating enclave's MRENCLAVE to a locally attested enclave —
+//!   forwarding immediately — or stores the data until such an enclave
+//!   attests (§VI-A);
 //! * retains outgoing migration data until the destination confirms
 //!   delivery (`DONE`), per Fig. 2's error-handling rule.
 //!
@@ -43,7 +47,6 @@ pub use session::{
 pub use telemetry::{LinkTelemetry, TelemetryReport};
 
 use crate::error::MigError;
-use crate::msgs::MeToLib;
 use crate::operator::MeCredential;
 use crate::policy::MigrationPolicy;
 use crate::remote_attest::{transcript_bytes, RaConfig, RaInitiator, RaResponder, RaResponseQuote};
@@ -54,7 +57,7 @@ use crate::transfer::TransferConfig;
 use mig_crypto::ed25519::{Signature, SigningKey, VerifyingKey};
 use mig_crypto::x25519::PublicKey;
 use persist::GenerationCache;
-use session::OutgoingMigration;
+use session::{OutgoingMigration, ParkedIncoming};
 use sgx_sim::dh::{DhMsg2, DhResponder};
 use sgx_sim::enclave::{EnclaveCode, EnclaveEnv};
 use sgx_sim::ias::AttestationEvidence;
@@ -63,7 +66,7 @@ use sgx_sim::measurement::{EnclaveImage, EnclaveSigner, MrEnclave};
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use wire::LinkShaper;
 
 /// ECALL opcodes of the Migration Enclave.
@@ -76,7 +79,10 @@ pub mod ops {
     pub const LA_START: u32 = 3;
     /// Complete a local attestation (processes Msg2, returns Msg3 + info).
     pub const LA_MSG2: u32 = 4;
-    /// Deliver an encrypted library→ME message.
+    /// Deliver an encrypted library→ME message: the enclave's
+    /// measurement, then a relay frame (`crate::msgs::encode_relay`) of
+    /// the sealed message and the bulk container the host relays beside
+    /// it.
     pub const LIB_MSG: u32 = 5;
     /// Remote attestation: incoming hello (destination side).
     pub const RA_HELLO: u32 = 6;
@@ -157,9 +163,14 @@ pub(crate) fn write_opt(w: &mut WireWriter, value: Option<&[u8]>) {
 
 /// Reads an optional byte string.
 pub(crate) fn read_opt(r: &mut WireReader<'_>) -> Result<Option<Vec<u8>>, SgxError> {
+    Ok(read_opt_ref(r)?.map(<[u8]>::to_vec))
+}
+
+/// Reads an optional byte string, borrowed from the input.
+pub(crate) fn read_opt_ref<'a>(r: &mut WireReader<'a>) -> Result<Option<&'a [u8]>, SgxError> {
     match r.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(r.bytes_vec()?)),
+        1 => Ok(Some(r.bytes()?)),
         _ => Err(SgxError::Decode),
     }
 }
@@ -294,17 +305,16 @@ pub struct MigrationEnclave {
     pub(crate) channels_out: HashMap<MachineId, SecureChannel>,
     /// Established channels from source MEs (this side responded).
     pub(crate) channels_in: HashMap<MachineId, SecureChannel>,
-    /// Incoming migration data (Table I payload + bulk state) stored
-    /// until a matching enclave attests.
-    pub(crate) pending_incoming:
-        HashMap<MrEnclave, (crate::library::state::MigrationData, Arc<[u8]>, MachineId)>,
+    /// Incoming migration data (Table I payload, root and the checked
+    /// container) stored until a matching enclave attests and confirms.
+    pub(crate) pending_incoming: HashMap<MrEnclave, ParkedIncoming>,
     /// Delivered incoming data awaiting the library's DONE.
     pub(crate) awaiting_done: HashMap<MrEnclave, MachineId>,
     /// Chunked transfers in reception, keyed by transfer nonce — each a
-    /// [`ReceiverFsm`] staging the verified prefix.
+    /// [`ReceiverFsm`] staging the received prefix.
     pub(crate) inbound: HashMap<TransferNonce, ReceiverFsm>,
-    /// Transient source-side chunk caches (chain MACs precomputed);
-    /// rebuilt on demand after a restore.
+    /// Transient source-side chunk streams (for a delta, over the packed
+    /// dirty pages); rebuilt on demand after a restore.
     pub(crate) out_streams: HashMap<MrEnclave, ChunkStream>,
     /// Transient manifests of outgoing delta streams (kept in lockstep
     /// with `out_streams`, rebuilt by the same O(state) diff — so a
@@ -459,19 +469,17 @@ impl MigrationEnclave {
         // the matching MRENCLAVE value performs a local attestation"). The
         // parked copy is retained until the library confirms with DONE, so
         // an ME restart between forward and confirmation loses nothing.
-        let forward = if let Some((data, state, source)) = self.pending_incoming.get(&mr) {
-            let ct = channel.seal(&MeToLib::encode_incoming_migration(data, state));
-            self.awaiting_done.insert(mr, *source);
-            Some(ct)
-        } else {
-            None
-        };
-        self.local_sessions.insert(mr, channel);
-
         let mut w = WireWriter::new();
         w.bytes(&msg3.to_bytes());
         w.array(&mr.0);
-        write_opt(&mut w, forward.as_deref());
+        match self.pending_incoming.get(&mr) {
+            Some(parked) => {
+                self.awaiting_done.insert(mr, parked.source);
+                parked.write_forward(&mut channel, &mut w);
+            }
+            None => write_opt(&mut w, None),
+        }
+        self.local_sessions.insert(mr, channel);
         Ok(w.finish())
     }
 

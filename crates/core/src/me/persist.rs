@@ -8,14 +8,18 @@
 //! needs: identity and provisioning, every retained outgoing migration
 //! with its per-nonce [`StreamProgress`],
 //! parked incoming data, partially received inbound streams (their
-//! verified prefixes), and the generation cache with its LRU ticks.
+//! received prefixes and the roots they must match), and the generation
+//! cache with its LRU ticks.
 //! Channels, schedulers, wire cells, and speculative staging are
 //! ephemeral — rebuilt or renegotiated after the restore.
 
 use crate::error::MigError;
 use crate::library::state::MigrationData;
-use crate::me::session::{OutgoingMigration, ReceiverFsm, SenderFsm, StreamProgress};
+use crate::me::session::{
+    OutgoingMigration, ParkedIncoming, ReceiverFsm, SenderFsm, StreamProgress,
+};
 use crate::me::{MeConfig, MigrationEnclave};
+use crate::msgs::{read_root, write_root};
 use crate::operator::MeCredential;
 use crate::policy::MigrationPolicy;
 use crate::transfer::chunker::{ChunkAssembler, TransferNonce};
@@ -214,8 +218,9 @@ impl MigrationEnclave {
         self.telemetry.cache_evictions += evicted;
     }
 
-    /// AAD tag binding sealed ME-state blobs.
-    const STATE_AAD: &'static [u8] = b"sgx-migrate.me-state.v1";
+    /// AAD tag binding sealed ME-state blobs (v2: container roots
+    /// beside every retained, parked and inbound payload).
+    const STATE_AAD: &'static [u8] = b"sgx-migrate.me-state.v2";
 
     pub(super) fn op_persist(&mut self, env: &mut EnclaveEnv<'_>) -> Result<Vec<u8>, MigError> {
         let signing = self.signing()?;
@@ -232,6 +237,7 @@ impl MigrationEnclave {
             w.array(&mr.0);
             w.u64(mig.destination.0);
             w.bytes(&mig.data.to_bytes());
+            write_root(&mut w, mig.root.as_ref());
             w.bytes(&mig.state);
             match mig.fsm.stream() {
                 None => {
@@ -257,11 +263,12 @@ impl MigrationEnclave {
             }
         }
         w.u32(self.pending_incoming.len() as u32);
-        for (mr, (data, state, source)) in &self.pending_incoming {
+        for (mr, parked) in &self.pending_incoming {
             w.array(&mr.0);
-            w.bytes(&data.to_bytes());
-            w.bytes(state);
-            w.u64(source.0);
+            w.bytes(&parked.data.to_bytes());
+            write_root(&mut w, parked.root.as_ref());
+            w.bytes(&parked.state);
+            w.u64(parked.source.0);
         }
         w.u32(self.inbound.len() as u32);
         for (nonce, fsm) in &self.inbound {
@@ -269,6 +276,7 @@ impl MigrationEnclave {
             w.u64(fsm.source().0);
             w.array(&fsm.mr_enclave().0);
             w.bytes(&fsm.data().to_bytes());
+            w.array(fsm.root());
             w.bytes(&fsm.assembler_bytes());
             w.u64(fsm.generation());
             write_opt(
@@ -307,6 +315,7 @@ impl MigrationEnclave {
             let mr = MrEnclave(r.array()?);
             let destination = MachineId(r.u64()?);
             let data = MigrationData::from_bytes(r.bytes()?)?;
+            let root = read_root(&mut r)?;
             let state = r.bytes_vec()?;
             let stream = match r.u8()? {
                 0 => None,
@@ -342,6 +351,7 @@ impl MigrationEnclave {
                 OutgoingMigration {
                     destination,
                     data,
+                    root,
                     state: state.into(),
                     fsm: SenderFsm::Idle { stream },
                 },
@@ -351,10 +361,13 @@ impl MigrationEnclave {
         let mut pending_incoming = HashMap::new();
         for _ in 0..n_pending {
             let mr = MrEnclave(r.array()?);
-            let data = MigrationData::from_bytes(r.bytes()?)?;
-            let state: Arc<[u8]> = r.bytes_vec()?.into();
-            let source = MachineId(r.u64()?);
-            pending_incoming.insert(mr, (data, state, source));
+            let parked = ParkedIncoming {
+                data: MigrationData::from_bytes(r.bytes()?)?,
+                root: read_root(&mut r)?,
+                state: r.bytes_vec()?.into(),
+                source: MachineId(r.u64()?),
+            };
+            pending_incoming.insert(mr, parked);
         }
         let n_inbound = r.u32()? as usize;
         let mut inbound_parts = Vec::with_capacity(n_inbound);
@@ -363,6 +376,7 @@ impl MigrationEnclave {
             let source = MachineId(r.u64()?);
             let mr_enclave = MrEnclave(r.array()?);
             let data = MigrationData::from_bytes(r.bytes()?)?;
+            let root: [u8; 32] = r.array()?;
             let assembler = ChunkAssembler::from_bytes(r.bytes()?)?;
             let generation = r.u64()?;
             let manifest = match read_opt(&mut r)? {
@@ -370,7 +384,7 @@ impl MigrationEnclave {
                 Some(bytes) => Some(DeltaManifest::from_bytes(&bytes)?),
             };
             inbound_parts.push((
-                nonce, source, mr_enclave, data, assembler, generation, manifest,
+                nonce, source, mr_enclave, data, root, assembler, generation, manifest,
             ));
         }
         let cache = GenerationCache::decode(&mut r)?;
@@ -385,11 +399,13 @@ impl MigrationEnclave {
         credential.verify(&operator_root)?;
 
         // Inbound streams come back with their staging rebuilt: the
-        // verified prefix is re-absorbed onto the (re-verified) base
+        // received prefix is re-absorbed onto the (re-verified) base
         // when speculation is on and the base survived; otherwise the
         // stream falls back to the deferred-apply path.
         let mut inbound = HashMap::new();
-        for (nonce, source, mr_enclave, data, assembler, generation, manifest) in inbound_parts {
+        for (nonce, source, mr_enclave, data, root, assembler, generation, manifest) in
+            inbound_parts
+        {
             // The content-verifying lookup hashes the base; skip it when
             // speculation is off and the staging would be discarded.
             let base = transfer
@@ -407,6 +423,7 @@ impl MigrationEnclave {
                     source,
                     mr_enclave,
                     data,
+                    root,
                     generation,
                     assembler,
                     manifest,

@@ -6,11 +6,20 @@
 //! the migrating enclave's MRENCLAVE, with the per-nonce chunk progress
 //! carried inside the active states as a [`StreamProgress`]. Each
 //! *incoming* chunk stream is a [`ReceiverFsm`] keyed by its
-//! [`TransferNonce`], verifying the HMAC chain chunk by chunk and —
-//! when [`TransferConfig::speculative_restore`](crate::transfer::TransferConfig::speculative_restore)
-//! is on — staging the verified prefix eagerly (incremental whole-state
-//! digest; delta bases overlaid page by page) so the final chunk only
-//! finalizes the digest check and releases.
+//! [`TransferNonce`], reassembling chunks strictly in order and — for a
+//! delta stream with
+//! [`TransferConfig::speculative_restore`](crate::transfer::TransferConfig::speculative_restore)
+//! on — overlaying them page by page onto the retained base as they
+//! arrive.
+//!
+//! The bulk state is the library's MSK-sealed container, moved as the
+//! ciphertext it is. It arrives from the library's host beside a sealed
+//! `MigrateRequest` naming its root and is checked against that root
+//! before the ME keeps it; on the destination every path (single-shot
+//! `Transfer`, full stream, delta) releases a container only once
+//! [`verify_root`] accepts it against the root that travelled with
+//! Table I, and the forward to the library carries the root while the
+//! host relays the container beside it.
 //!
 //! Invalid events surface as [`MigError::InvalidTransition`], frames
 //! for nonces no stream owns as [`MigError::StaleNonce`], and a delta
@@ -20,13 +29,13 @@
 //! [`super::persist`].
 
 use crate::error::{ChannelPeer, MigError};
+use crate::library::bulk::{verify_relayed, verify_root};
 use crate::library::state::MigrationData;
 use crate::me::wire::{self, LinkShaper, StreamDemand};
 use crate::me::MigrationEnclave;
-use crate::msgs::{LibToMe, MeToLib, MeToMe};
-use crate::transfer::chunker::{
-    chunk_count, trace_id, ChunkAssembler, ChunkMac, ChunkStream, TransferNonce,
-};
+use crate::msgs::{decode_relay, encode_relay, write_relay, LibToMe, MeToLib, MeToMe};
+use crate::secure_channel::SecureChannel;
+use crate::transfer::chunker::{chunk_count, trace_id, ChunkAssembler, ChunkStream, TransferNonce};
 use crate::transfer::delta::{self, DeltaManifest, PageDigests, StagedApply};
 use crate::transfer::MIN_CHUNK_SIZE;
 use sgx_sim::enclave::EnclaveEnv;
@@ -254,7 +263,7 @@ impl StreamProgress {
         }
     }
 
-    /// The per-transfer nonce keying the chunk HMAC chain.
+    /// The per-transfer nonce naming the stream.
     #[must_use]
     pub fn nonce(&self) -> TransferNonce {
         self.nonce
@@ -764,13 +773,17 @@ impl SenderFsm {
 }
 
 /// One retained outgoing migration: the Table I payload, the bulk
-/// state, and the [`SenderFsm`] tracking what is on the wire.
+/// container and its root, and the [`SenderFsm`] tracking what is on
+/// the wire.
 pub(crate) struct OutgoingMigration {
     pub(crate) destination: MachineId,
     pub(crate) data: MigrationData,
-    /// Bulk state accompanying the Table I payload (possibly empty).
-    /// Shared with the chunk stream and the generation cache — never
-    /// cloned on the streaming path.
+    /// Root of `state`, `None` when it is empty.
+    pub(crate) root: Option<[u8; 32]>,
+    /// Bulk container accompanying the Table I payload (possibly
+    /// empty), checked against `root` on arrival. Shared with the chunk
+    /// stream and the generation cache — never cloned on the streaming
+    /// path.
     pub(crate) state: Arc<[u8]>,
     pub(crate) fsm: SenderFsm,
 }
@@ -778,6 +791,37 @@ pub(crate) struct OutgoingMigration {
 impl OutgoingMigration {
     pub(crate) fn n_chunks(&self) -> u32 {
         self.fsm.stream().map_or(0, StreamProgress::n_chunks)
+    }
+
+    /// The root a stream of this migration announces.
+    fn stream_root(&self) -> Result<[u8; 32], MigError> {
+        self.root
+            .ok_or(MigError::SessionInvariant("streamed migration has no root"))
+    }
+}
+
+/// Incoming migration data parked on the destination until the library
+/// confirms it with `DONE`: Table I, the container root, the container
+/// (already checked against the root) and the source machine.
+pub(crate) struct ParkedIncoming {
+    pub(crate) data: MigrationData,
+    pub(crate) root: Option<[u8; 32]>,
+    pub(crate) state: Arc<[u8]>,
+    pub(crate) source: MachineId,
+}
+
+impl ParkedIncoming {
+    /// Writes the `ME_FORWARD` relay frame for the attested library into
+    /// an ECALL output, as a present optional field: the sealed
+    /// `IncomingMigration` (Table I and root) with the container beside
+    /// it, not re-encrypted.
+    pub(crate) fn write_forward(&self, channel: &mut SecureChannel, w: &mut WireWriter) {
+        let msg = MeToLib::IncomingMigration {
+            data: self.data.clone(),
+            root: self.root,
+        };
+        w.u8(1);
+        write_relay(w, &channel.seal(&msg.to_bytes()), &self.state);
     }
 }
 
@@ -787,13 +831,11 @@ impl OutgoingMigration {
 
 /// How the destination stages the arriving payload.
 enum Staging {
-    /// Full stream: the assembler's verified buffer *is* the state (with
-    /// speculative restore on, its whole-state digest is folded in chunk
-    /// by chunk).
+    /// Full stream: the assembler's buffer *is* the container.
     Full,
     /// Delta stream whose base was retained and content-verified at
     /// announce time: the base is staged up front and dirty pages are
-    /// overlaid as their payload bytes verify (speculative restore).
+    /// overlaid as their payload bytes arrive (speculative restore).
     StagedDelta(StagedApply),
     /// Delta stream assembled without staging (base missing at announce,
     /// or speculation disabled): applied after completion; NACKed when
@@ -807,13 +849,15 @@ enum Staging {
 // only add an allocation.
 #[allow(clippy::large_enum_variant)]
 pub enum ReceiverRelease {
-    /// The whole-state digest checked out: the reconstructed state (and
-    /// the Table I payload that travelled with the announcement) is
-    /// released for parking/forwarding.
+    /// The reconstructed container matched the announced root: it is
+    /// released, with the Table I payload that travelled with the
+    /// announcement, for parking/forwarding.
     Released {
         /// The Table I control payload.
         data: MigrationData,
-        /// The verified, reconstructed bulk state.
+        /// The root the container matched.
+        root: [u8; 32],
+        /// The verified, reconstructed bulk container.
         state: Arc<[u8]>,
     },
     /// The stream is a delta whose base generation this enclave does not
@@ -821,25 +865,29 @@ pub enum ReceiverRelease {
     BaseMissing,
 }
 
-/// The typed per-nonce receiver state machine: verifies the chunk HMAC
-/// chain strictly in order and stages the verified prefix.
+/// The typed per-nonce receiver state machine: reassembles chunks
+/// strictly in order and stages the received prefix.
 ///
 /// Lifecycle: constructed by an announcement
 /// ([`ReceiverFsm::start_full`] / [`ReceiverFsm::start_delta`]), driven
 /// by [`ReceiverFsm::on_chunk`] until [`ReceiverFsm::is_complete`], then
 /// consumed by [`ReceiverFsm::release`] — which enforces the release
-/// rules unchanged from the batch path: whole-state digest before
-/// release, manifest validated before any page is applied, and any
-/// tamper evidence quarantines the stream (the partial state is
-/// dropped; a resume restarts it from chunk 0).
+/// rules: manifest and base validated before any page is applied, and
+/// the reconstructed container released only when [`verify_root`]
+/// accepts it against the announced root. A refused release is tamper
+/// evidence (a reordered, spliced or altered chunk, or a wrong base):
+/// the caller quarantines the stream, dropping its partial state, and a
+/// resume restarts it from chunk 0.
 ///
-/// With speculative restore on, the expensive tail work is done as
-/// chunks arrive — the running digest and (for deltas) the staged base
-/// overlay — so `release` after the final chunk only finalizes.
+/// With speculative restore on, a delta stream overlays its pages onto
+/// the staged base as chunks arrive, so `release` after the final chunk
+/// only checks the root.
 pub struct ReceiverFsm {
     source: MachineId,
     mr_enclave: MrEnclave,
     data: MigrationData,
+    /// Root the reconstructed container must match.
+    root: [u8; 32],
     /// State generation the stream installs (for a delta, the
     /// manifest's `new_generation`).
     generation: u64,
@@ -871,28 +919,22 @@ impl ReceiverFsm {
     /// # Errors
     ///
     /// [`MigError::Transfer`] on inconsistent announced geometry.
-    #[allow(clippy::too_many_arguments)]
     pub fn start_full(
         source: MachineId,
         mr_enclave: MrEnclave,
         data: MigrationData,
-        nonce: TransferNonce,
+        root: [u8; 32],
         generation: u64,
         total_len: u64,
         chunk_size: u32,
-        state_digest: [u8; 32],
-        speculative: bool,
     ) -> Result<Self, MigError> {
-        let mut assembler = ChunkAssembler::new(nonce, chunk_size, total_len, state_digest)?;
-        if speculative {
-            assembler.enable_incremental_digest();
-        }
         Ok(ReceiverFsm {
             source,
             mr_enclave,
             data,
+            root,
             generation,
-            assembler,
+            assembler: ChunkAssembler::new(chunk_size, total_len)?,
             staging: Staging::Full,
         })
     }
@@ -915,18 +957,13 @@ impl ReceiverFsm {
         source: MachineId,
         mr_enclave: MrEnclave,
         data: MigrationData,
-        nonce: TransferNonce,
+        root: [u8; 32],
         chunk_size: u32,
-        payload_digest: [u8; 32],
         manifest: DeltaManifest,
         base: Option<&[u8]>,
         speculative: bool,
     ) -> Result<Self, MigError> {
-        let mut assembler =
-            ChunkAssembler::new(nonce, chunk_size, manifest.payload_len(), payload_digest)?;
-        if speculative {
-            assembler.enable_incremental_digest();
-        }
+        let assembler = ChunkAssembler::new(chunk_size, manifest.payload_len())?;
         let generation = manifest.new_generation;
         let staging = match base
             .filter(|_| speculative)
@@ -939,6 +976,7 @@ impl ReceiverFsm {
             source,
             mr_enclave,
             data,
+            root,
             generation,
             assembler,
             staging,
@@ -947,7 +985,7 @@ impl ReceiverFsm {
 
     /// Rebuilds a receiver from persisted parts (ME restore). The
     /// staging is reconstructed deterministically: the assembler's
-    /// verified prefix is re-absorbed onto the (re-verified) base; when
+    /// received prefix is re-absorbed onto the (re-verified) base; when
     /// the base did not survive the restart the stream falls back to
     /// the deferred path, exactly like a base evicted before announce.
     #[allow(clippy::too_many_arguments)]
@@ -956,15 +994,13 @@ impl ReceiverFsm {
         source: MachineId,
         mr_enclave: MrEnclave,
         data: MigrationData,
+        root: [u8; 32],
         generation: u64,
-        mut assembler: ChunkAssembler,
+        assembler: ChunkAssembler,
         manifest: Option<DeltaManifest>,
         base: Option<&[u8]>,
         speculative: bool,
     ) -> Self {
-        if speculative {
-            assembler.enable_incremental_digest();
-        }
         let staging = match manifest {
             None => Staging::Full,
             Some(manifest) => {
@@ -983,6 +1019,7 @@ impl ReceiverFsm {
             source,
             mr_enclave,
             data,
+            root,
             generation,
             assembler,
             staging,
@@ -1007,6 +1044,12 @@ impl ReceiverFsm {
         &self.data
     }
 
+    /// The root the reconstructed container must match.
+    #[must_use]
+    pub fn root(&self) -> &[u8; 32] {
+        &self.root
+    }
+
     /// The state generation the stream installs.
     #[must_use]
     pub fn generation(&self) -> u64 {
@@ -1020,7 +1063,7 @@ impl ReceiverFsm {
         self.assembler.next_idx()
     }
 
-    /// Whether every chunk has been verified.
+    /// Whether every chunk has arrived.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.assembler.is_complete()
@@ -1059,64 +1102,61 @@ impl ReceiverFsm {
         self.assembler.to_bytes()
     }
 
-    /// Verifies and stages chunk `idx`.
+    /// Appends and stages chunk `idx`.
     ///
     /// # Errors
     ///
     /// [`MigError::Transfer`] on an out-of-order index (loss artifact —
-    /// the verified prefix is kept), a wrong payload length, or a
-    /// chain-MAC mismatch (tamper evidence — the caller quarantines the
-    /// stream).
-    pub fn on_chunk(&mut self, idx: u32, payload: &[u8], mac: &ChunkMac) -> Result<(), MigError> {
-        self.assembler.accept(idx, payload, mac)?;
+    /// the received prefix is kept) or a wrong payload length (tamper
+    /// evidence — the caller quarantines the stream).
+    pub fn on_chunk(&mut self, idx: u32, payload: &[u8]) -> Result<(), MigError> {
+        self.assembler.accept(idx, payload)?;
         if let Staging::StagedDelta(staged) = &mut self.staging {
             staged.absorb(payload)?;
         }
         Ok(())
     }
 
-    /// Consumes the completed stream, enforcing the release rules:
-    /// whole-state digest before release; a deferred delta is applied
-    /// onto `base` (validate-before-apply) or answered
-    /// [`ReceiverRelease::BaseMissing`] when `base` is `None`.
+    /// Consumes the completed stream, enforcing the release rules: a
+    /// deferred delta is applied onto `base` (validate-before-apply) or
+    /// answered [`ReceiverRelease::BaseMissing`] when `base` is `None`,
+    /// and the reconstructed container is released only when it matches
+    /// the announced root.
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] on an incomplete stream or any digest
-    /// mismatch — the partial state is dropped with the consumed
+    /// [`MigError::Transfer`] on an incomplete stream or a delta that
+    /// does not apply; [`verify_root`]'s errors for a container the root
+    /// does not name. The partial state is dropped with the consumed
     /// receiver (quarantine).
     pub fn release(self, base: Option<&[u8]>) -> Result<ReceiverRelease, MigError> {
         let ReceiverFsm {
             data,
+            root,
             assembler,
             staging,
             ..
         } = self;
-        match staging {
-            Staging::Full => {
-                let state: Arc<[u8]> = assembler.finish()?.into();
-                Ok(ReceiverRelease::Released { data, state })
-            }
+        let state = match staging {
+            Staging::Full => assembler.finish()?,
             Staging::StagedDelta(staged) => {
-                // The chain's payload digest and the manifest's
-                // whole-state digest both still gate the release; with
-                // speculation both are running digests, so only the
-                // finalizes happen here.
                 assembler.finish()?;
-                let state: Arc<[u8]> = staged.finish()?.into();
-                Ok(ReceiverRelease::Released { data, state })
+                staged.finish()?
             }
             Staging::DeferredDelta(manifest) => {
                 let payload = assembler.finish()?;
                 match base {
-                    Some(base) => {
-                        let state: Arc<[u8]> = delta::apply(base, &manifest, &payload)?.into();
-                        Ok(ReceiverRelease::Released { data, state })
-                    }
-                    None => Ok(ReceiverRelease::BaseMissing),
+                    Some(base) => delta::apply(base, &manifest, &payload)?,
+                    None => return Ok(ReceiverRelease::BaseMissing),
                 }
             }
-        }
+        };
+        verify_root(&state, &root)?;
+        Ok(ReceiverRelease::Released {
+            data,
+            root,
+            state: state.into(),
+        })
     }
 }
 
@@ -1130,22 +1170,29 @@ impl MigrationEnclave {
         env: &mut EnclaveEnv<'_>,
         input: &[u8],
     ) -> Result<Vec<u8>, MigError> {
-        let mut r = WireReader::new(input);
-        let mr = MrEnclave(r.array()?);
-        let ciphertext = r.bytes_vec()?;
-        r.finish()?;
+        let mr = MrEnclave(
+            input
+                .get(..32)
+                .and_then(|b| b.try_into().ok())
+                .ok_or(SgxError::Decode)?,
+        );
+        let (ciphertext, container) = decode_relay(input.get(32..).ok_or(SgxError::Decode)?)?;
 
         let channel = self
             .local_sessions
             .get_mut(&mr)
             .ok_or(MigError::Protocol("no local session for enclave"))?;
-        let plaintext = channel.open(&ciphertext)?;
+        let plaintext = channel.open(ciphertext)?;
         let action = match LibToMe::from_bytes(&plaintext)? {
             LibToMe::MigrateRequest {
                 destination,
                 data,
-                state,
+                root,
             } => {
+                // The container the host relayed must be the one the
+                // library's sealed request names: a swapped, older or
+                // damaged container fails this ECALL and is never kept.
+                verify_relayed(container, root.as_ref())?;
                 self.out_streams.remove(&mr);
                 self.out_manifests.remove(&mr);
                 self.outgoing.insert(
@@ -1153,11 +1200,15 @@ impl MigrationEnclave {
                     OutgoingMigration {
                         destination,
                         data,
-                        state: state.into(),
+                        root,
+                        state: container.into(),
                         fsm: SenderFsm::Idle { stream: None },
                     },
                 );
                 self.dispatch_outgoing(env, destination)?
+            }
+            LibToMe::Done if !container.is_empty() => {
+                return Err(MigError::Protocol("bulk bytes beside DONE"));
             }
             LibToMe::Done => {
                 // Destination side: the library confirmed installation; the
@@ -1388,16 +1439,16 @@ impl MigrationEnclave {
                     .saturating_mul(u64::from(transfer_cfg.max_delta_percent));
             within_budget.then_some((manifest, payload))
         });
+        let root = mig.stream_root()?;
         let (stream, delta_base, start_msg) = match delta {
             Some((manifest, payload)) => {
-                let stream =
-                    ChunkStream::with_lanes(nonce, chunk_size, payload, transfer_cfg.seal_lanes);
+                let stream = ChunkStream::new(nonce, chunk_size, payload);
                 let delta_base = manifest.base_generation;
                 let start = MeToMe::DeltaStart {
                     mr_enclave: mr,
                     nonce,
                     chunk_size,
-                    payload_digest: stream.digest(),
+                    root,
                     manifest: manifest.clone(),
                     data: mig.data.clone(),
                 };
@@ -1405,19 +1456,14 @@ impl MigrationEnclave {
                 (stream, Some(delta_base), start)
             }
             None => {
-                let stream = ChunkStream::with_lanes(
-                    nonce,
-                    chunk_size,
-                    Arc::clone(&mig.state),
-                    transfer_cfg.seal_lanes,
-                );
+                let stream = ChunkStream::new(nonce, chunk_size, Arc::clone(&mig.state));
                 let start = MeToMe::ChunkStart {
                     mr_enclave: mr,
                     nonce,
                     generation,
                     total_len: stream.total_len(),
                     chunk_size,
-                    state_digest: stream.digest(),
+                    root,
                     data: mig.data.clone(),
                 };
                 (stream, None, start)
@@ -1561,6 +1607,7 @@ impl MigrationEnclave {
             let msg = MeToMe::Transfer {
                 mr_enclave: mr,
                 data: mig.data.clone(),
+                root: mig.root,
                 state: mig.state.to_vec(),
             };
             let channel =
@@ -1667,7 +1714,6 @@ impl MigrationEnclave {
         if self.out_streams.contains_key(&mr) {
             return Ok(());
         }
-        let seal_lanes = self.config()?.transfer.seal_lanes;
         let mig = self
             .outgoing
             .get(&mr)
@@ -1684,10 +1730,8 @@ impl MigrationEnclave {
         } else {
             Arc::clone(&mig.state)
         };
-        self.out_streams.insert(
-            mr,
-            ChunkStream::with_lanes(nonce, chunk_size, payload, seal_lanes),
-        );
+        self.out_streams
+            .insert(mr, ChunkStream::new(nonce, chunk_size, payload));
         Ok(())
     }
 
@@ -1707,6 +1751,7 @@ impl MigrationEnclave {
             .out_streams
             .get(&mr)
             .ok_or(MigError::Protocol("chunk cache not rebuilt"))?;
+        let root = mig.stream_root()?;
         Ok(match stream.delta_base {
             None => MeToMe::ChunkStart {
                 mr_enclave: mr,
@@ -1714,14 +1759,14 @@ impl MigrationEnclave {
                 generation: stream.generation,
                 total_len: cache.total_len(),
                 chunk_size: cache.chunk_size(),
-                state_digest: cache.digest(),
+                root,
                 data: mig.data.clone(),
             },
             Some(_) => MeToMe::DeltaStart {
                 mr_enclave: mr,
                 nonce: stream.nonce,
                 chunk_size: cache.chunk_size(),
-                payload_digest: cache.digest(),
+                root,
                 manifest: self
                     .out_manifests
                     .get(&mr)
@@ -1769,59 +1814,57 @@ impl MigrationEnclave {
         Ok(action.to_bytes())
     }
 
-    /// Accepts complete incoming migration data: parks it, forwards to a
-    /// matching attested enclave if present, or tells the source it is
-    /// stored. Returns the encoded `TRANSFER` output. `trace` is the
-    /// stream's public trace id (`None` for single-shot transfers,
-    /// which have no nonce).
+    /// Seals `msg` for the source ME on the inbound channel from `source`.
+    fn seal_to_source(&mut self, source: MachineId, msg: &MeToMe) -> Result<Vec<u8>, MigError> {
+        Ok(self
+            .channels_in
+            .get_mut(&source)
+            .ok_or(MigError::ChannelMissing {
+                peer: ChannelPeer::Source,
+            })?
+            .seal(&msg.to_bytes()))
+    }
+
+    /// Accepts complete incoming migration data whose container already
+    /// matched its root: parks it, forwards it to a matching attested
+    /// enclave if present, or tells the source it is stored. Returns the
+    /// encoded `TRANSFER` output. `trace` is the stream's public trace id
+    /// (`None` for single-shot transfers, which have no nonce).
     fn accept_incoming(
         &mut self,
-        source: MachineId,
         mr_enclave: MrEnclave,
-        data: MigrationData,
-        state: Arc<[u8]>,
+        parked: ParkedIncoming,
         final_ack: Option<Vec<u8>>,
         trace: Option<[u8; 8]>,
     ) -> Result<Vec<u8>, MigError> {
-        // Park the data regardless; it is only dropped once the
-        // destination library confirms with DONE (crash safety). The
-        // Arc is shared with the caller and the generation cache.
-        self.pending_incoming
-            .insert(mr_enclave, (data.clone(), Arc::clone(&state), source));
+        let source = parked.source;
+        let mut w = WireWriter::new();
         if let Some(local) = self.local_sessions.get_mut(&mr_enclave) {
-            let forward = local.seal(&MeToLib::encode_incoming_migration(&data, &state));
             self.awaiting_done.insert(mr_enclave, source);
-            let mut w = WireWriter::new();
             w.u8(1); // forwarded
             w.array(&mr_enclave.0);
             write_opt(&mut w, trace.as_ref().map(<[u8; 8]>::as_slice));
-            write_opt(&mut w, Some(&forward));
+            parked.write_forward(local, &mut w);
             write_opt(&mut w, final_ack.as_deref());
-            Ok(w.finish())
         } else {
             // No matching enclave yet; tell the source the data is
             // stored (it keeps its copy). A chunked transfer's final
             // cumulative ack already means "stored"; reuse it.
             let ack = match final_ack {
                 Some(ack) => ack,
-                None => {
-                    let channel =
-                        self.channels_in
-                            .get_mut(&source)
-                            .ok_or(MigError::ChannelMissing {
-                                peer: ChannelPeer::Source,
-                            })?;
-                    channel.seal(&MeToMe::Stored { mr_enclave }.to_bytes())
-                }
+                None => self.seal_to_source(source, &MeToMe::Stored { mr_enclave })?,
             };
-            let mut w = WireWriter::new();
             w.u8(2); // stored
             w.array(&mr_enclave.0);
             write_opt(&mut w, trace.as_ref().map(<[u8; 8]>::as_slice));
             write_opt(&mut w, None);
             write_opt(&mut w, Some(&ack));
-            Ok(w.finish())
         }
+        // Park the data regardless; it is only dropped once the
+        // destination library confirms with DONE (crash safety). The
+        // Arc is shared with the generation cache.
+        self.pending_incoming.insert(mr_enclave, parked);
+        Ok(w.finish())
     }
 
     /// Encodes the common "stream progress" TRANSFER output: kind 3
@@ -1852,64 +1895,32 @@ impl MigrationEnclave {
         Self::stream_progress_kind(3, mr_enclave, trace, reply)
     }
 
-    pub(super) fn op_transfer(
-        &mut self,
-        env: &mut EnclaveEnv<'_>,
-        input: &[u8],
-    ) -> Result<Vec<u8>, MigError> {
-        let mut r = WireReader::new(input);
-        let source = MachineId(r.u64()?);
-        let ciphertext = r.bytes_vec()?;
-        r.finish()?;
-
-        let channel = self
-            .channels_in
-            .get_mut(&source)
-            .ok_or(MigError::ChannelMissing {
-                peer: ChannelPeer::Source,
-            })?;
-        let plaintext = channel.open(&ciphertext)?;
+    /// Opens the receiver announced by a `ChunkStart` / `DeltaStart`
+    /// from `source` and returns its progress record. A repeated
+    /// announcement (a stream restarted from 0) replaces any stale
+    /// partial state for the nonce.
+    fn announce_inbound(&mut self, source: MachineId, msg: MeToMe) -> Result<Vec<u8>, MigError> {
         let speculative = self.config()?.transfer.speculative_restore;
-        match MeToMe::from_bytes(&plaintext)? {
-            MeToMe::Transfer {
-                mr_enclave,
-                data,
-                state,
-            } => self.accept_incoming(source, mr_enclave, data, state.into(), None, None),
+        let (nonce, fsm) = match msg {
             MeToMe::ChunkStart {
                 mr_enclave,
                 nonce,
                 generation,
                 total_len,
                 chunk_size,
-                state_digest,
+                root,
                 data,
             } => {
-                // A repeated announcement (stream restarted from 0)
-                // replaces any stale partial state for this nonce.
                 let fsm = ReceiverFsm::start_full(
-                    source,
-                    mr_enclave,
-                    data,
-                    nonce,
-                    generation,
-                    total_len,
-                    chunk_size,
-                    state_digest,
-                    speculative,
+                    source, mr_enclave, data, root, generation, total_len, chunk_size,
                 )?;
-                self.inbound.insert(nonce, fsm);
-                Ok(Self::stream_progress_output(
-                    mr_enclave,
-                    trace_id(&nonce),
-                    None,
-                ))
+                (nonce, fsm)
             }
             MeToMe::DeltaStart {
                 mr_enclave,
                 nonce,
                 chunk_size,
-                payload_digest,
+                root,
                 manifest,
                 data,
             } => {
@@ -1924,7 +1935,7 @@ impl MigrationEnclave {
                 // base is content-verified and staged *now*, overlapping
                 // the restore work with the arriving chunks. The lookup
                 // hashes the retained base, so it is skipped entirely in
-                // unseal-after-complete mode (which would discard it).
+                // apply-after-complete mode (which would discard it).
                 let base = speculative
                     .then(|| {
                         self.cache
@@ -1936,9 +1947,8 @@ impl MigrationEnclave {
                     source,
                     mr_enclave,
                     data,
-                    nonce,
+                    root,
                     chunk_size,
-                    payload_digest,
                     manifest,
                     base.as_deref(),
                     speculative,
@@ -1946,41 +1956,158 @@ impl MigrationEnclave {
                 if fsm.is_staged() {
                     self.cache.touch(&mr_enclave);
                 }
-                self.inbound.insert(nonce, fsm);
-                Ok(Self::stream_progress_output(
+                (nonce, fsm)
+            }
+            _ => return Err(MigError::Protocol("not a stream announcement")),
+        };
+        let mr_enclave = fsm.mr_enclave();
+        self.inbound.insert(nonce, fsm);
+        Ok(Self::stream_progress_output(
+            mr_enclave,
+            trace_id(&nonce),
+            None,
+        ))
+    }
+
+    /// Drops the inbound stream `nonce` on tamper evidence — only that
+    /// stream: its partial state goes (a resume restarts it from chunk
+    /// 0) and every other multiplexed stream is untouched. The
+    /// quarantine is appended to the telemetry ledger so the host can
+    /// timestamp the edge via `TELEMETRY` after the failed ECALL.
+    fn quarantine(&mut self, nonce: TransferNonce) {
+        self.inbound.remove(&nonce);
+        self.telemetry.quarantines += 1;
+        self.telemetry.quarantined.push(trace_id(&nonce));
+    }
+
+    /// Releases the completed inbound stream `nonce`. A deferred delta
+    /// is applied onto the retained base generation here; the base is
+    /// content-addressed — generation number AND whole-state digest must
+    /// match our retained copy (generations renumber after a fallback
+    /// reset, so the number alone is not identity). A staged delta
+    /// captured its base at announce time; a full payload *is* the
+    /// container. The container is released only when it matches the
+    /// announced root: it is then cached as the next delta base, acked
+    /// and parked or forwarded ([`Self::accept_incoming`]). A delta
+    /// whose base we do not hold is NACKed *in place of* the final ack —
+    /// the source restarts as a full stream with no frames left in
+    /// flight to race the restarted announcement.
+    ///
+    /// The outer `Result` carries failures of the enclave itself; the
+    /// inner one a refused release, after which the stream is
+    /// quarantined ([`Self::quarantine`]).
+    fn release_stream(
+        &mut self,
+        source: MachineId,
+        nonce: TransferNonce,
+    ) -> Result<Result<Vec<u8>, MigError>, MigError> {
+        let fsm = self
+            .inbound
+            .remove(&nonce)
+            .ok_or(MigError::SessionInvariant("inbound stream vanished"))?;
+        let (upto, mr_enclave, generation) = (fsm.next_idx(), fsm.mr_enclave(), fsm.generation());
+        let deferred_base = fsm.needs_base().and_then(|manifest| {
+            self.cache
+                .delta_base(&mr_enclave, manifest)
+                .map(|c| Arc::clone(&c.state))
+        });
+        let used_deferred_base = deferred_base.is_some();
+        let released = match fsm.release(deferred_base.as_deref()) {
+            Ok(released) => released,
+            Err(e) => {
+                self.quarantine(nonce);
+                return Ok(Err(e));
+            }
+        };
+        match released {
+            ReceiverRelease::Released { data, root, state } => {
+                if used_deferred_base {
+                    self.cache.touch(&mr_enclave);
+                }
+                // Both ends retain the installed generation as the next
+                // repeat migration's delta base (LRU-bounded; an evicted
+                // base later NACKs back to a full stream).
+                self.cache_insert(mr_enclave, generation, Arc::clone(&state));
+                // The final cumulative ack doubles as the stream's
+                // combined batch ack.
+                let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
+                let parked = ParkedIncoming {
+                    data,
+                    root: Some(root),
+                    state,
+                    source,
+                };
+                self.accept_incoming(mr_enclave, parked, Some(ack), Some(trace_id(&nonce)))
+                    .map(Ok)
+            }
+            ReceiverRelease::BaseMissing => {
+                self.telemetry.delta_fallbacks += 1;
+                let nack = self.seal_to_source(source, &MeToMe::DeltaNack { mr_enclave, nonce })?;
+                // Kind 4: the host records a delta-fallback edge.
+                Ok(Ok(Self::stream_progress_kind(
+                    4,
                     mr_enclave,
                     trace_id(&nonce),
-                    None,
-                ))
+                    Some(&nack),
+                )))
+            }
+        }
+    }
+
+    pub(super) fn op_transfer(
+        &mut self,
+        env: &mut EnclaveEnv<'_>,
+        input: &[u8],
+    ) -> Result<Vec<u8>, MigError> {
+        let mut r = WireReader::new(input);
+        let source = MachineId(r.u64()?);
+        let ciphertext = r.bytes()?;
+        r.finish()?;
+
+        let channel = self
+            .channels_in
+            .get_mut(&source)
+            .ok_or(MigError::ChannelMissing {
+                peer: ChannelPeer::Source,
+            })?;
+        let plaintext = channel.open(ciphertext)?;
+        match MeToMe::from_bytes(&plaintext)? {
+            MeToMe::Transfer {
+                mr_enclave,
+                data,
+                root,
+                state,
+            } => {
+                // The single-shot path's release gate.
+                verify_relayed(&state, root.as_ref())?;
+                let parked = ParkedIncoming {
+                    data,
+                    root,
+                    state: state.into(),
+                    source,
+                };
+                self.accept_incoming(mr_enclave, parked, None, None)
+            }
+            msg @ (MeToMe::ChunkStart { .. } | MeToMe::DeltaStart { .. }) => {
+                self.announce_inbound(source, msg)
             }
             MeToMe::Chunk {
                 nonce,
                 idx,
                 payload,
-                mac,
                 pad: _,
             } => {
                 let fsm = self.inbound.get_mut(&nonce).ok_or(MigError::StaleNonce)?;
                 if fsm.source() != source {
                     return Err(MigError::Protocol("chunk from wrong source"));
                 }
-                if let Err(e) = fsm.on_chunk(idx, &payload, &mac) {
+                if let Err(e) = fsm.on_chunk(idx, &payload) {
                     // An out-of-order index is a loss artifact of the
-                    // network: keep the verified prefix so a resume
-                    // renegotiation continues from it. Anything else —
-                    // a chain-MAC mismatch (cross-nonce splice, payload
-                    // tamper) or a wrong length — is evidence of
-                    // manipulation below the channel: quarantine *this*
-                    // stream only (drop its partial state; a resume
-                    // restarts it from chunk 0) and leave every other
-                    // multiplexed stream untouched. The quarantine is
-                    // appended to the telemetry ledger so the host can
-                    // timestamp the edge via `TELEMETRY` after the
-                    // failed ECALL.
+                    // network: keep the received prefix so a resume
+                    // renegotiation continues from it. A wrong length is
+                    // evidence of manipulation below the channel.
                     if !matches!(e, MigError::Transfer("chunk index out of order")) {
-                        self.inbound.remove(&nonce);
-                        self.telemetry.quarantines += 1;
-                        self.telemetry.quarantined.push(trace_id(&nonce));
+                        self.quarantine(nonce);
                     }
                     return Err(e);
                 }
@@ -1989,85 +2116,14 @@ impl MigrationEnclave {
                 let upto = fsm.next_idx();
                 let mr_enclave = fsm.mr_enclave();
                 if !fsm.is_complete() {
-                    let ack = self
-                        .channels_in
-                        .get_mut(&source)
-                        .ok_or(MigError::ChannelMissing {
-                            peer: ChannelPeer::Source,
-                        })?
-                        .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
+                    let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
                     return Ok(Self::stream_progress_output(
                         mr_enclave,
                         trace_id(&nonce),
                         Some(&ack),
                     ));
                 }
-                let fsm = self
-                    .inbound
-                    .remove(&nonce)
-                    .ok_or(MigError::SessionInvariant("inbound stream vanished"))?;
-                let generation = fsm.generation();
-                // A deferred delta is applied onto the retained base
-                // generation here (digest-verified before release); the
-                // base is content-addressed — generation number AND
-                // whole-state digest must match our retained copy
-                // (generations renumber after a fallback reset, so the
-                // number alone is not identity). A staged delta captured
-                // its base at announce time; a full payload *is* the
-                // state. A delta whose base we do not hold is NACKed
-                // *in place of* the final ack — the source restarts as
-                // a full stream with no frames left in flight to race
-                // the restarted announcement.
-                let deferred_base = fsm.needs_base().and_then(|manifest| {
-                    self.cache
-                        .delta_base(&mr_enclave, manifest)
-                        .map(|c| Arc::clone(&c.state))
-                });
-                let used_deferred_base = deferred_base.is_some();
-                match fsm.release(deferred_base.as_deref())? {
-                    ReceiverRelease::Released { data, state } => {
-                        if used_deferred_base {
-                            self.cache.touch(&mr_enclave);
-                        }
-                        // Both ends retain the installed generation as
-                        // the next repeat migration's delta base
-                        // (LRU-bounded; an evicted base later NACKs back
-                        // to a full stream).
-                        self.cache_insert(mr_enclave, generation, Arc::clone(&state));
-                        let ack = self
-                            .channels_in
-                            .get_mut(&source)
-                            .ok_or(MigError::ChannelMissing {
-                                peer: ChannelPeer::Source,
-                            })?
-                            .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
-                        self.accept_incoming(
-                            source,
-                            mr_enclave,
-                            data,
-                            state,
-                            Some(ack),
-                            Some(trace_id(&nonce)),
-                        )
-                    }
-                    ReceiverRelease::BaseMissing => {
-                        self.telemetry.delta_fallbacks += 1;
-                        let nack = self
-                            .channels_in
-                            .get_mut(&source)
-                            .ok_or(MigError::ChannelMissing {
-                                peer: ChannelPeer::Source,
-                            })?
-                            .seal(&MeToMe::DeltaNack { mr_enclave, nonce }.to_bytes());
-                        // Kind 4: the host records a delta-fallback edge.
-                        Ok(Self::stream_progress_kind(
-                            4,
-                            mr_enclave,
-                            trace_id(&nonce),
-                            Some(&nack),
-                        ))
-                    }
-                }
+                self.release_stream(source, nonce)?
             }
             MeToMe::ResumeRequest { mr_enclave, nonce } => {
                 // Three cases: mid-stream partial (resume from next
@@ -2084,13 +2140,7 @@ impl MigrationEnclave {
                 } else {
                     MeToMe::Resume { nonce, from_idx: 0 }
                 };
-                let ack = self
-                    .channels_in
-                    .get_mut(&source)
-                    .ok_or(MigError::ChannelMissing {
-                        peer: ChannelPeer::Source,
-                    })?
-                    .seal(&reply.to_bytes());
+                let ack = self.seal_to_source(source, &reply)?;
                 Ok(Self::stream_progress_output(
                     mr_enclave,
                     trace_id(&nonce),
@@ -2101,7 +2151,7 @@ impl MigrationEnclave {
         }
     }
 
-    /// `TRANSFER_BATCH`: one enclave transition verifying and staging a
+    /// `TRANSFER_BATCH`: one enclave transition opening and staging a
     /// whole container of sealed stream cells (up to the link's
     /// negotiated batch size), acknowledged with **one** combined
     /// cumulative `ChunkAck` per touched stream instead of one per
@@ -2114,7 +2164,8 @@ impl MigrationEnclave {
     /// reordered cell fails authentication exactly as on the per-frame
     /// path. On an authentication failure mid-container the verified
     /// prefix is kept ([`SecureChannel::open_many`]), acked, and the
-    /// nonzero status byte tells the host to sync quarantine edges.
+    /// nonzero status byte tells the host to sync quarantine edges; a
+    /// stream whose release is refused is quarantined alone.
     ///
     /// Output: `u32` record count, that many length-prefixed records in
     /// the `TRANSFER` output format, then a `u8` status (0 = whole
@@ -2126,12 +2177,11 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let source = MachineId(r.u64()?);
-        let container = r.bytes_vec()?;
+        let container = r.bytes()?;
         r.finish()?;
 
         let transfer_cfg = self.config()?.transfer;
-        let speculative = transfer_cfg.speculative_restore;
-        let cells = wire::unpack_batch(&container)?;
+        let cells = wire::unpack_batch(container)?;
         let channel = self
             .channels_in
             .get_mut(&source)
@@ -2156,74 +2206,13 @@ impl MigrationEnclave {
                 }
             };
             match msg {
-                MeToMe::ChunkStart {
-                    mr_enclave,
-                    nonce,
-                    generation,
-                    total_len,
-                    chunk_size,
-                    state_digest,
-                    data,
-                } => {
-                    let fsm = ReceiverFsm::start_full(
-                        source,
-                        mr_enclave,
-                        data,
-                        nonce,
-                        generation,
-                        total_len,
-                        chunk_size,
-                        state_digest,
-                        speculative,
-                    )?;
-                    self.inbound.insert(nonce, fsm);
-                    results.push(Self::stream_progress_output(
-                        mr_enclave,
-                        trace_id(&nonce),
-                        None,
-                    ));
-                }
-                MeToMe::DeltaStart {
-                    mr_enclave,
-                    nonce,
-                    chunk_size,
-                    payload_digest,
-                    manifest,
-                    data,
-                } => {
-                    let base = speculative
-                        .then(|| {
-                            self.cache
-                                .delta_base(&mr_enclave, &manifest)
-                                .map(|c| Arc::clone(&c.state))
-                        })
-                        .flatten();
-                    let fsm = ReceiverFsm::start_delta(
-                        source,
-                        mr_enclave,
-                        data,
-                        nonce,
-                        chunk_size,
-                        payload_digest,
-                        manifest,
-                        base.as_deref(),
-                        speculative,
-                    )?;
-                    if fsm.is_staged() {
-                        self.cache.touch(&mr_enclave);
-                    }
-                    self.inbound.insert(nonce, fsm);
-                    results.push(Self::stream_progress_output(
-                        mr_enclave,
-                        trace_id(&nonce),
-                        None,
-                    ));
+                msg @ (MeToMe::ChunkStart { .. } | MeToMe::DeltaStart { .. }) => {
+                    results.push(self.announce_inbound(source, msg)?);
                 }
                 MeToMe::Chunk {
                     nonce,
                     idx,
                     payload,
-                    mac,
                     pad: _,
                 } => {
                     // A cell for a nonce quarantined earlier in this same
@@ -2236,16 +2225,14 @@ impl MigrationEnclave {
                         status = 1;
                         break 'cells;
                     }
-                    if let Err(e) = fsm.on_chunk(idx, &payload, &mac) {
+                    if let Err(e) = fsm.on_chunk(idx, &payload) {
                         // Same policy as the per-frame path: keep the
-                        // verified prefix on an out-of-order index,
+                        // received prefix on an out-of-order index,
                         // quarantine this stream on tamper evidence —
                         // but keep processing the container's other
                         // streams either way.
                         if !matches!(e, MigError::Transfer("chunk index out of order")) {
-                            self.inbound.remove(&nonce);
-                            self.telemetry.quarantines += 1;
-                            self.telemetry.quarantined.push(trace_id(&nonce));
+                            self.quarantine(nonce);
                             status = 1;
                         }
                         continue 'cells;
@@ -2255,62 +2242,10 @@ impl MigrationEnclave {
                         env.attribute_transition(trace_id(&nonce));
                     }
                     self.telemetry.chunks_received += 1;
-                    if !fsm.is_complete() {
-                        continue 'cells;
-                    }
-                    let upto = fsm.next_idx();
-                    let mr_enclave = fsm.mr_enclave();
-                    let fsm = self
-                        .inbound
-                        .remove(&nonce)
-                        .ok_or(MigError::SessionInvariant("inbound stream vanished"))?;
-                    let generation = fsm.generation();
-                    let deferred_base = fsm.needs_base().and_then(|manifest| {
-                        self.cache
-                            .delta_base(&mr_enclave, manifest)
-                            .map(|c| Arc::clone(&c.state))
-                    });
-                    let used_deferred_base = deferred_base.is_some();
-                    match fsm.release(deferred_base.as_deref())? {
-                        ReceiverRelease::Released { data, state } => {
-                            if used_deferred_base {
-                                self.cache.touch(&mr_enclave);
-                            }
-                            self.cache_insert(mr_enclave, generation, Arc::clone(&state));
-                            // The final cumulative ack is sealed before
-                            // the release record so it doubles as the
-                            // stream's combined batch ack.
-                            let ack = self
-                                .channels_in
-                                .get_mut(&source)
-                                .ok_or(MigError::ChannelMissing {
-                                    peer: ChannelPeer::Source,
-                                })?
-                                .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
-                            results.push(self.accept_incoming(
-                                source,
-                                mr_enclave,
-                                data,
-                                state,
-                                Some(ack),
-                                Some(trace_id(&nonce)),
-                            )?);
-                        }
-                        ReceiverRelease::BaseMissing => {
-                            self.telemetry.delta_fallbacks += 1;
-                            let nack = self
-                                .channels_in
-                                .get_mut(&source)
-                                .ok_or(MigError::ChannelMissing {
-                                    peer: ChannelPeer::Source,
-                                })?
-                                .seal(&MeToMe::DeltaNack { mr_enclave, nonce }.to_bytes());
-                            results.push(Self::stream_progress_kind(
-                                4,
-                                mr_enclave,
-                                trace_id(&nonce),
-                                Some(&nack),
-                            ));
+                    if fsm.is_complete() {
+                        match self.release_stream(source, nonce)? {
+                            Ok(record) => results.push(record),
+                            Err(_) => status = 1,
                         }
                     }
                 }
@@ -2330,15 +2265,8 @@ impl MigrationEnclave {
             let Some(fsm) = self.inbound.get(&nonce) else {
                 continue;
             };
-            let upto = fsm.next_idx();
-            let mr_enclave = fsm.mr_enclave();
-            let ack = self
-                .channels_in
-                .get_mut(&source)
-                .ok_or(MigError::ChannelMissing {
-                    peer: ChannelPeer::Source,
-                })?
-                .seal(&MeToMe::ChunkAck { nonce, upto }.to_bytes());
+            let (upto, mr_enclave) = (fsm.next_idx(), fsm.mr_enclave());
+            let ack = self.seal_to_source(source, &MeToMe::ChunkAck { nonce, upto })?;
             results.push(Self::stream_progress_output(
                 mr_enclave,
                 trace_id(&nonce),
@@ -2483,7 +2411,7 @@ impl MigrationEnclave {
     ) -> Result<Vec<u8>, MigError> {
         let mut r = WireReader::new(input);
         let destination = MachineId(r.u64()?);
-        let ciphertext = r.bytes_vec()?;
+        let ciphertext = r.bytes()?;
         r.finish()?;
 
         let channel = self
@@ -2492,7 +2420,7 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Destination,
             })?;
-        let plaintext = channel.open(&ciphertext)?;
+        let plaintext = channel.open(ciphertext)?;
         match MeToMe::from_bytes(&plaintext)? {
             MeToMe::Delivered { mr_enclave } => {
                 // Delivery binding: only the migration's *current*
@@ -2514,10 +2442,9 @@ impl MigrationEnclave {
                 self.out_streams.remove(&mr_enclave);
                 self.out_manifests.remove(&mr_enclave);
                 // Tell the (frozen) source library, if still attested.
-                let complete = self
-                    .local_sessions
-                    .get_mut(&mr_enclave)
-                    .map(|local| local.seal(&MeToLib::MigrationComplete.to_bytes()));
+                let complete = self.local_sessions.get_mut(&mr_enclave).map(|local| {
+                    encode_relay(&local.seal(&MeToLib::MigrationComplete.to_bytes()), &[])
+                });
                 // The channel is free again: dispatch the next queued
                 // migration for this destination, if any.
                 let next = Self::action_frames(self.dispatch_outgoing(env, destination)?);
@@ -2718,8 +2645,8 @@ impl MigrationEnclave {
         }
         // Per-stream state of the multiplexed link (diagnostics): every
         // announced stream towards the destination with its per-nonce
-        // progress. The nonce itself stays inside the enclave — it keys
-        // the chunk HMAC chain.
+        // progress. The nonce itself stays inside the enclave; telemetry
+        // names streams by their one-way trace id.
         let mut streams: Vec<(&MrEnclave, &SenderFsm, &StreamProgress)> = self
             .outgoing
             .iter()
@@ -2880,64 +2807,81 @@ mod tests {
 
     fn drive(stream: &ChunkStream, fsm: &mut ReceiverFsm, from: u32) {
         for idx in from..stream.n_chunks() {
-            let (c, m) = stream.chunk(idx);
-            fsm.on_chunk(idx, c, &m).unwrap();
+            fsm.on_chunk(idx, stream.chunk(idx)).unwrap();
         }
     }
 
+    /// A container and its root.
+    type Rooted = (Vec<u8>, [u8; 32]);
+
+    /// A base container of `n` 900-byte items and a next generation with
+    /// items 2 and `n - 2` rewritten in place.
+    fn generations(n: usize) -> (Rooted, Rooted) {
+        let mut items: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 900]).collect();
+        let base = crate::library::bulk::tests::test_container(&items);
+        items[2] = vec![0xAA; 900];
+        items[n - 2] = vec![0x55; 900];
+        (base, crate::library::bulk::tests::test_container(&items))
+    }
+
+    fn full(root: [u8; 32], len: u64, chunk_size: u32) -> ReceiverFsm {
+        ReceiverFsm::start_full(
+            MachineId(1),
+            MrEnclave([5; 32]),
+            data(),
+            root,
+            1,
+            len,
+            chunk_size,
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn receiver_full_release_parity_speculative_and_not() {
-        let payload: Vec<u8> = (0..20_000).map(|i| (i % 251) as u8).collect();
-        let stream = ChunkStream::new([9; 16], 4096, payload.clone());
-        for speculative in [false, true] {
-            let mut fsm = ReceiverFsm::start_full(
-                MachineId(1),
-                MrEnclave([5; 32]),
-                data(),
-                [9; 16],
-                1,
-                stream.total_len(),
-                4096,
-                stream.digest(),
-                speculative,
-            )
-            .unwrap();
-            assert!(fsm.delta_manifest().is_none() && fsm.needs_base().is_none());
-            drive(&stream, &mut fsm, 0);
-            assert!(fsm.is_complete());
-            match fsm.release(None).unwrap() {
-                ReceiverRelease::Released { state, .. } => {
-                    assert_eq!(&state[..], &payload[..], "speculative={speculative}");
-                }
-                ReceiverRelease::BaseMissing => panic!("full stream needs no base"),
+    fn receiver_full_release_checks_the_root() {
+        let ((bytes, root), _) = generations(20);
+        let stream = ChunkStream::new([9; 16], 4096, bytes.clone());
+        let mut fsm = full(root, stream.total_len(), 4096);
+        assert!(fsm.delta_manifest().is_none() && fsm.needs_base().is_none());
+        drive(&stream, &mut fsm, 0);
+        assert!(fsm.is_complete());
+        match fsm.release(None).unwrap() {
+            ReceiverRelease::Released {
+                state,
+                root: released,
+                ..
+            } => {
+                assert_eq!(&state[..], &bytes[..]);
+                assert_eq!(released, root);
             }
+            ReceiverRelease::BaseMissing => panic!("full stream needs no base"),
         }
     }
 
     #[test]
     fn receiver_delta_staged_vs_deferred() {
-        let base: Vec<u8> = (0..40_000).map(|i| (i % 251) as u8).collect();
-        let mut new = base.clone();
-        new[5000] ^= 0xAA;
-        new[20_000] ^= 0x55;
+        let ((base, _), (new, root)) = generations(40);
         let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
         let (manifest, payload) = delta::diff(&digests, 4, 5, &new);
+        assert!(manifest.payload_len() < new.len() as u64 / 2);
         let stream = ChunkStream::new([8; 16], 4096, payload.clone());
+        let start = |announce_base: Option<&[u8]>, speculative| {
+            ReceiverFsm::start_delta(
+                MachineId(1),
+                MrEnclave([5; 32]),
+                data(),
+                root,
+                4096,
+                manifest.clone(),
+                announce_base,
+                speculative,
+            )
+            .unwrap()
+        };
 
         // Speculative with the base at announce: staged, releases with
         // no base argument.
-        let mut fsm = ReceiverFsm::start_delta(
-            MachineId(1),
-            MrEnclave([5; 32]),
-            data(),
-            [8; 16],
-            4096,
-            stream.digest(),
-            manifest.clone(),
-            Some(&base),
-            true,
-        )
-        .unwrap();
+        let mut fsm = start(Some(&base), true);
         assert!(fsm.is_staged() && fsm.needs_base().is_none());
         assert_eq!(fsm.generation(), 5);
         drive(&stream, &mut fsm, 0);
@@ -2949,18 +2893,7 @@ mod tests {
         // No base at announce (or speculation off): deferred — the base
         // is needed at release, and its absence NACKs.
         for (announce_base, speculative) in [(None, true), (Some(&base[..]), false)] {
-            let mut fsm = ReceiverFsm::start_delta(
-                MachineId(1),
-                MrEnclave([5; 32]),
-                data(),
-                [8; 16],
-                4096,
-                stream.digest(),
-                manifest.clone(),
-                announce_base,
-                speculative,
-            )
-            .unwrap();
+            let mut fsm = start(announce_base, speculative);
             assert!(!fsm.is_staged() && fsm.needs_base().is_some());
             drive(&stream, &mut fsm, 0);
             match fsm.release(Some(&base)).unwrap() {
@@ -2968,18 +2901,7 @@ mod tests {
                 ReceiverRelease::BaseMissing => panic!("base was supplied"),
             }
         }
-        let mut fsm = ReceiverFsm::start_delta(
-            MachineId(1),
-            MrEnclave([5; 32]),
-            data(),
-            [8; 16],
-            4096,
-            stream.digest(),
-            manifest.clone(),
-            None,
-            true,
-        )
-        .unwrap();
+        let mut fsm = start(None, true);
         drive(&stream, &mut fsm, 0);
         assert!(matches!(
             fsm.release(None).unwrap(),
@@ -2988,61 +2910,39 @@ mod tests {
     }
 
     #[test]
-    fn receiver_tamper_is_rejected_in_both_modes() {
-        let payload: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
-        let stream = ChunkStream::new([3; 16], 2048, payload);
-        for speculative in [false, true] {
-            let mut fsm = ReceiverFsm::start_full(
-                MachineId(1),
-                MrEnclave([5; 32]),
-                data(),
-                [3; 16],
-                1,
-                stream.total_len(),
-                2048,
-                stream.digest(),
-                speculative,
-            )
-            .unwrap();
-            let (c0, m0) = stream.chunk(0);
-            let mut evil = c0.to_vec();
-            evil[0] ^= 1;
-            let err = fsm.on_chunk(0, &evil, &m0).unwrap_err();
-            assert!(
-                !matches!(err, MigError::Transfer("chunk index out of order")),
-                "tamper is not a loss artifact"
-            );
-            // Out-of-order is the one recoverable error: prefix kept.
-            let (c1, m1) = stream.chunk(1);
-            assert!(matches!(
-                fsm.on_chunk(1, c1, &m1),
-                Err(MigError::Transfer("chunk index out of order"))
-            ));
-            assert_eq!(fsm.next_idx(), 0);
-            // A wrong announced digest still quarantines at release.
-            let mut fsm = ReceiverFsm::start_full(
-                MachineId(1),
-                MrEnclave([5; 32]),
-                data(),
-                [3; 16],
-                1,
-                stream.total_len(),
-                2048,
-                [0; 32],
-                speculative,
-            )
-            .unwrap();
-            drive(&stream, &mut fsm, 0);
-            assert!(fsm.release(None).is_err(), "speculative={speculative}");
-        }
+    fn receiver_tamper_is_rejected_at_release() {
+        let ((bytes, root), _) = generations(10);
+        let stream = ChunkStream::new([3; 16], 2048, bytes.clone());
+        // A flipped payload byte passes the engine but not the root.
+        let mut fsm = full(root, stream.total_len(), 2048);
+        let mut evil = stream.chunk(1).to_vec();
+        evil[100] ^= 1;
+        fsm.on_chunk(0, stream.chunk(0)).unwrap();
+        fsm.on_chunk(1, &evil).unwrap();
+        drive(&stream, &mut fsm, 2);
+        assert!(fsm.release(None).is_err());
+        // A wrong length is refused on arrival (quarantine evidence).
+        let mut fsm = full(root, stream.total_len(), 2048);
+        let err = fsm.on_chunk(0, &stream.chunk(0)[1..]).unwrap_err();
+        assert!(!matches!(
+            err,
+            MigError::Transfer("chunk index out of order")
+        ));
+        // Out-of-order is the one recoverable error: prefix kept.
+        assert!(matches!(
+            fsm.on_chunk(1, stream.chunk(1)),
+            Err(MigError::Transfer("chunk index out of order"))
+        ));
+        assert_eq!(fsm.next_idx(), 0);
+        // A wrong announced root refuses the genuine container.
+        let mut fsm = full([0; 32], stream.total_len(), 2048);
+        drive(&stream, &mut fsm, 0);
+        assert!(matches!(fsm.release(None), Err(MigError::BulkMismatch)));
     }
 
     #[test]
     fn receiver_restore_rebuilds_staging_deterministically() {
-        let base: Vec<u8> = (0..30_000).map(|i| (i % 251) as u8).collect();
-        let mut new = base.clone();
-        new[100] ^= 1;
-        new[25_000] ^= 2;
+        let ((base, _), (new, root)) = generations(30);
         let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
         let (manifest, payload) = delta::diff(&digests, 1, 2, &new);
         let stream = ChunkStream::new([6; 16], 1024, payload);
@@ -3051,31 +2951,32 @@ mod tests {
             MachineId(1),
             MrEnclave([5; 32]),
             data(),
-            [6; 16],
+            root,
             1024,
-            stream.digest(),
             manifest.clone(),
             Some(&base),
             true,
         )
         .unwrap();
         for idx in 0..3 {
-            let (c, m) = stream.chunk(idx);
-            fsm.on_chunk(idx, c, &m).unwrap();
+            fsm.on_chunk(idx, stream.chunk(idx)).unwrap();
         }
         // Crash: only the assembler is persisted; staging is rebuilt.
         let blob = fsm.assembler_bytes();
-        let assembler = ChunkAssembler::from_bytes(&blob).unwrap();
-        let mut restored = ReceiverFsm::restore(
-            MachineId(1),
-            MrEnclave([5; 32]),
-            data(),
-            2,
-            assembler,
-            Some(manifest.clone()),
-            Some(&base),
-            true,
-        );
+        let restore = |base: Option<&[u8]>| {
+            ReceiverFsm::restore(
+                MachineId(1),
+                MrEnclave([5; 32]),
+                data(),
+                root,
+                2,
+                ChunkAssembler::from_bytes(&blob).unwrap(),
+                Some(manifest.clone()),
+                base,
+                true,
+            )
+        };
+        let mut restored = restore(Some(&base));
         assert!(restored.is_staged());
         assert_eq!(restored.next_idx(), 3);
         drive(&stream, &mut restored, 3);
@@ -3085,17 +2986,7 @@ mod tests {
         }
         // The base evicted during the downtime: falls back to deferred,
         // exactly like a base missing at announce.
-        let assembler = ChunkAssembler::from_bytes(&blob).unwrap();
-        let restored = ReceiverFsm::restore(
-            MachineId(1),
-            MrEnclave([5; 32]),
-            data(),
-            2,
-            assembler,
-            Some(manifest),
-            None,
-            true,
-        );
+        let restored = restore(None);
         assert!(!restored.is_staged() && restored.needs_base().is_some());
     }
 }

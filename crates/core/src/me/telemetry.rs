@@ -6,7 +6,8 @@
 //! counts, link geometry, scheduler deficits, and per-migration **trace
 //! ids** — one-way hashes of the transfer nonce computed inside the
 //! enclave ([`crate::transfer::chunker::trace_id`]). The nonce itself
-//! keys the chunk HMAC chain and never crosses the ECALL boundary.
+//! names a stream on the attested channel and never crosses the ECALL
+//! boundary.
 //!
 //! The counters are intentionally **ephemeral** (not part of the
 //! `PERSIST` checkpoint): a management-VM restart resets observability
@@ -35,7 +36,7 @@ pub(crate) struct MeTelemetry {
     pub(crate) batches_sealed: u64,
     /// Generation-cache entries evicted by the LRU byte budget.
     pub(crate) cache_evictions: u64,
-    /// Chunks received and chain-verified (destination side).
+    /// Chunks received in order (destination side).
     pub(crate) chunks_received: u64,
     /// Chunks re-sealed after a resume rewound the send cursor.
     pub(crate) chunks_retransmitted: u64,
@@ -44,7 +45,8 @@ pub(crate) struct MeTelemetry {
     /// Delta streams that fell back to a full stream (`DeltaNack` sent
     /// or received, or a deferred base found missing).
     pub(crate) delta_fallbacks: u64,
-    /// Inbound streams quarantined on chain-MAC/length evidence.
+    /// Inbound streams quarantined on tamper evidence: a wrong chunk
+    /// length, or a container that failed its root at release.
     pub(crate) quarantines: u64,
     /// Resume requests dispatched after a channel loss.
     pub(crate) resume_requests: u64,

@@ -36,8 +36,8 @@ pub const CTRL_FRAME_LEN: usize = 64;
 
 /// Fixed wire overhead of a [`MeToMe::Chunk`] frame — the layout
 /// emitted by [`MeToMe::encode_chunk`]: tag(1), nonce(16), idx(4),
-/// payload len prefix(4), mac(32), pad len prefix(4).
-const CHUNK_FRAME_OVERHEAD: usize = 61;
+/// payload len prefix(4), pad len prefix(4).
+const CHUNK_FRAME_OVERHEAD: usize = 29;
 
 /// Plaintext length of a [`MeToMe::Chunk`] frame whose payload plus
 /// padding sum to `cell` bytes — the uniform *wire cell* every stream
@@ -101,9 +101,9 @@ pub fn pad_frame(frame: &mut Vec<u8>, target: usize) {
 /// and overlap the AEAD work across its
 /// seal lanes.
 pub(crate) fn chunk_plaintext(stream: &ChunkStream, idx: u32, cell: u32) -> Vec<u8> {
-    let (payload, mac) = stream.chunk(idx);
+    let payload = stream.chunk(idx);
     let pad = cell.saturating_sub(payload.len() as u32);
-    MeToMe::encode_chunk(&stream.nonce(), idx, payload, &mac, pad)
+    MeToMe::encode_chunk(&stream.nonce(), idx, payload, pad)
 }
 
 /// Pads an encoded lead frame (`ChunkStart` / `DeltaStart` /
@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn chunk_frame_len_matches_encoding() {
         for (payload, pad) in [(0usize, 4096u32), (100, 3996), (4096, 0)] {
-            let frame = MeToMe::encode_chunk(&[1; 16], 0, &vec![7; payload], &[2; 32], pad);
+            let frame = MeToMe::encode_chunk(&[1; 16], 0, &vec![7; payload], pad);
             assert_eq!(frame.len(), chunk_frame_len(4096));
         }
         // cell_for_frame_len inverts chunk_frame_len.
@@ -619,7 +619,7 @@ mod tests {
             generation: 3,
             total_len: 1_000_000,
             chunk_size: 4096,
-            state_digest: [9; 32],
+            root: [9; 32],
             data,
         };
         let mut frame = start.to_bytes();

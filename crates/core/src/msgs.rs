@@ -10,13 +10,25 @@
 //! All of these travel *encrypted*; the enum encodings here are the
 //! channel plaintexts.
 //!
+//! **Bulk state travels beside, not inside.** The app's bulk state is a
+//! container already sealed under the Migration Sealing Key (see
+//! [`crate::library::bulk`]). [`LibToMe::MigrateRequest`] and
+//! [`MeToLib::IncomingMigration`] carry only Table I plus the
+//! container's 32-byte root; the untrusted hosts relay the container
+//! itself as a trailing field of the same frame ([`encode_relay`] /
+//! [`decode_relay`]), and the receiving enclave checks it against the
+//! root before keeping it. The ME↔ME messages carry the root next to
+//! Table I in [`MeToMe::Transfer`], [`MeToMe::ChunkStart`] and
+//! [`MeToMe::DeltaStart`]; the destination ME releases a reassembled
+//! container only once it matches that root.
+//!
 //! Beyond the paper's single-shot `Transfer`, the ME↔ME family carries
 //! the streaming state-transfer protocol of [`crate::transfer`]:
 //! [`MeToMe::ChunkStart`] announces a full chunked transfer (geometry,
-//! whole-payload digest, generation number, and the Table I control
-//! data), [`MeToMe::DeltaStart`] announces a dirty-page *delta* stream
-//! (chunk geometry plus the [`DeltaManifest`] naming the base generation
-//! and changed pages), [`MeToMe::Chunk`] carries one HMAC-chained chunk,
+//! container root, generation number, and the Table I control data),
+//! [`MeToMe::DeltaStart`] announces a dirty-page *delta* stream (chunk
+//! geometry plus the [`DeltaManifest`] naming the base generation and
+//! changed pages), [`MeToMe::Chunk`] carries one chunk,
 //! [`MeToMe::ChunkAck`] cumulatively acknowledges received chunks
 //! (driving the source's send window), [`MeToMe::ResumeRequest`] /
 //! [`MeToMe::Resume`] renegotiate the resume point after a crash, and
@@ -26,8 +38,8 @@
 //! **Per-nonce multiplexing and wire cells.** Several chunk streams to
 //! the same destination interleave on one attested channel, each frame
 //! tagged by its [`TransferNonce`]; the channel's per-session sequence
-//! numbers keep the *interleaving itself* tamper-evident, and the
-//! per-nonce HMAC chain rejects any cross-stream splice below it. The
+//! numbers keep the *interleaving itself* tamper-evident, and the root
+//! check at release rejects any cross-stream splice below it. The
 //! simulated network delivers smaller ciphertexts earlier, so every
 //! source→destination stream frame (`ChunkStart` / `DeltaStart` /
 //! `Chunk`) is padded to the destination link's current *wire cell* —
@@ -37,7 +49,7 @@
 //! [`CTRL_FRAME_LEN`] for the same reason.
 
 use crate::library::state::MigrationData;
-use crate::transfer::chunker::{ChunkMac, TransferNonce};
+use crate::transfer::chunker::TransferNonce;
 use crate::transfer::delta::DeltaManifest;
 
 /// Zero padding appended to `ResumeRequest` so its ciphertext is larger
@@ -50,6 +62,66 @@ use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 
+/// Frames a sealed local-channel message with the bulk container the
+/// host relays beside it (empty when none): `[len | ciphertext] ‖
+/// container`. Used on the app↔ME hops (`LIB_MSG` from the app,
+/// `ME_FORWARD` to it).
+#[must_use]
+pub fn encode_relay(ciphertext: &[u8], container: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(4 + ciphertext.len() + container.len());
+    w.bytes(ciphertext).raw(container);
+    w.finish()
+}
+
+/// Writes the relay frame of `ciphertext` and `container` into `w` as
+/// one length-prefixed byte string — what `w.bytes(&encode_relay(..))`
+/// writes, without building the frame separately first.
+pub fn write_relay(w: &mut WireWriter, ciphertext: &[u8], container: &[u8]) {
+    let len = 4 + ciphertext.len() + container.len();
+    w.u32(u32::try_from(len).unwrap_or(u32::MAX))
+        .bytes(ciphertext)
+        .raw(container);
+}
+
+/// Splits a relay frame into the sealed message and the trailing
+/// container. Framing only: the enclave checks the container against
+/// the root inside the sealed message.
+///
+/// # Errors
+///
+/// [`SgxError::Decode`] when the frame does not start with a complete
+/// length-prefixed ciphertext.
+pub fn decode_relay(bytes: &[u8]) -> Result<(&[u8], &[u8]), SgxError> {
+    let mut r = WireReader::new(bytes);
+    let ciphertext = r.bytes()?;
+    let container = bytes
+        .get(bytes.len() - r.remaining()..)
+        .ok_or(SgxError::Decode)?;
+    Ok((ciphertext, container))
+}
+
+/// Writes an optional container root (flag + 32 bytes).
+pub(crate) fn write_root(w: &mut WireWriter, root: Option<&[u8; 32]>) {
+    match root {
+        None => {
+            w.u8(0);
+        }
+        Some(root) => {
+            w.u8(1);
+            w.array(root);
+        }
+    }
+}
+
+/// Reads an optional container root.
+pub(crate) fn read_root(r: &mut WireReader<'_>) -> Result<Option<[u8; 32]>, SgxError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(r.array()?)),
+        _ => Err(SgxError::Decode),
+    }
+}
+
 /// Library → Migration Enclave (local channel).
 // MigrationData carries the Table I fixed arrays inline (1.3 KiB); the
 // messages are built once and immediately serialized, so boxing would
@@ -57,17 +129,18 @@ use sgx_sim::SgxError;
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LibToMe {
-    /// Start an outgoing migration: transfer `data` (and the staged bulk
-    /// `state`, possibly empty) to `destination` (the `migrate` message
-    /// of Fig. 2).
+    /// Start an outgoing migration: transfer `data` and the staged bulk
+    /// container named by `root` to `destination` (the `migrate`
+    /// message of Fig. 2). The container rides beside the sealed
+    /// message ([`encode_relay`]).
     MigrateRequest {
         /// The machine the enclave should migrate to.
         destination: MachineId,
         /// The Table I payload.
         data: MigrationData,
-        /// The staged bulk state (migratable-sealed app payload); may be
-        /// empty.
-        state: Vec<u8>,
+        /// Root of the staged bulk container, `None` when none is
+        /// staged.
+        root: Option<[u8; 32]>,
     },
     /// Confirmation that incoming migration data was installed
     /// (the `DONE` message of Fig. 2).
@@ -83,12 +156,12 @@ impl LibToMe {
             LibToMe::MigrateRequest {
                 destination,
                 data,
-                state,
+                root,
             } => {
                 w.u8(1);
                 w.u64(destination.0);
                 w.bytes(&data.to_bytes());
-                w.bytes(state);
+                write_root(&mut w, root.as_ref());
             }
             LibToMe::Done => {
                 w.u8(2);
@@ -108,7 +181,7 @@ impl LibToMe {
             1 => LibToMe::MigrateRequest {
                 destination: MachineId(r.u64()?),
                 data: MigrationData::from_bytes(r.bytes()?)?,
-                state: r.bytes_vec()?,
+                root: read_root(&mut r)?,
             },
             2 => LibToMe::Done,
             _ => return Err(SgxError::Decode),
@@ -125,40 +198,28 @@ impl LibToMe {
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MeToLib {
-    /// Deliver incoming migration data (the `restore data` of Fig. 2).
+    /// Deliver incoming migration data (the `restore data` of Fig. 2);
+    /// the bulk container rides beside the sealed message.
     IncomingMigration {
         /// The Table I payload from the source enclave.
         data: MigrationData,
-        /// The bulk state that accompanied it (possibly empty).
-        state: Vec<u8>,
+        /// Root of the accompanying bulk container, `None` when none.
+        root: Option<[u8; 32]>,
     },
     /// The outgoing migration completed; the destination confirmed.
     MigrationComplete,
 }
 
 impl MeToLib {
-    /// Serializes a [`MeToLib::IncomingMigration`] directly from a
-    /// borrowed state slice (zero-copy forwarding of multi-megabyte bulk
-    /// state out of the ME's retained `Arc`). Byte-identical to encoding
-    /// the enum variant.
-    #[must_use]
-    pub fn encode_incoming_migration(data: &MigrationData, state: &[u8]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(1);
-        w.bytes(&data.to_bytes());
-        w.bytes(state);
-        w.finish()
-    }
-
     /// Serializes the message (channel plaintext).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         match self {
-            MeToLib::IncomingMigration { data, state } => {
+            MeToLib::IncomingMigration { data, root } => {
                 w.u8(1);
                 w.bytes(&data.to_bytes());
-                w.bytes(state);
+                write_root(&mut w, root.as_ref());
             }
             MeToLib::MigrationComplete => {
                 w.u8(2);
@@ -177,7 +238,7 @@ impl MeToLib {
         let msg = match r.u8()? {
             1 => MeToLib::IncomingMigration {
                 data: MigrationData::from_bytes(r.bytes()?)?,
-                state: r.bytes_vec()?,
+                root: read_root(&mut r)?,
             },
             2 => MeToLib::MigrationComplete,
             _ => return Err(SgxError::Decode),
@@ -203,7 +264,9 @@ pub enum MeToMe {
         mr_enclave: MrEnclave,
         /// The Table I payload.
         data: MigrationData,
-        /// Accompanying bulk state (possibly empty).
+        /// Root of `state`, `None` when it is empty.
+        root: Option<[u8; 32]>,
+        /// Accompanying bulk container (possibly empty).
         state: Vec<u8>,
     },
     /// Destination → source: the named enclave's data was delivered to a
@@ -222,7 +285,7 @@ pub enum MeToMe {
     ChunkStart {
         /// MRENCLAVE of the migrating enclave.
         mr_enclave: MrEnclave,
-        /// Per-transfer nonce (keys the chunk HMAC chain).
+        /// Per-transfer nonce (names the stream on the shared channel).
         nonce: TransferNonce,
         /// State generation this stream installs (the delta base for a
         /// later repeat migration).
@@ -231,25 +294,24 @@ pub enum MeToMe {
         total_len: u64,
         /// Chunk size used by the sender.
         chunk_size: u32,
-        /// SHA-256 digest of the whole bulk state.
-        state_digest: [u8; 32],
+        /// Root of the streamed container (the release gate).
+        root: [u8; 32],
         /// The Table I control payload (travels with the announcement).
         data: MigrationData,
     },
     /// Source → destination: announces a chunked dirty-page **delta**
     /// stream. The chunked payload is the packed dirty pages described by
     /// `manifest`; the destination applies them onto its retained copy of
-    /// `manifest.base_generation` and verifies `manifest.new_digest`.
+    /// `manifest.base_generation` and checks the result against `root`.
     DeltaStart {
         /// MRENCLAVE of the migrating enclave.
         mr_enclave: MrEnclave,
-        /// Per-transfer nonce (keys the chunk HMAC chain).
+        /// Per-transfer nonce (names the stream on the shared channel).
         nonce: TransferNonce,
         /// Chunk size used by the sender.
         chunk_size: u32,
-        /// SHA-256 digest of the packed delta payload (what the chunk
-        /// assembler checks on completion).
-        payload_digest: [u8; 32],
+        /// Root of the reconstructed container (the release gate).
+        root: [u8; 32],
         /// Which pages changed, against which base generation.
         manifest: DeltaManifest,
         /// The Table I control payload (travels with the announcement).
@@ -272,8 +334,6 @@ pub enum MeToMe {
         /// Chunk payload (exactly `chunk_size` bytes except the final
         /// chunk).
         payload: Vec<u8>,
-        /// HMAC-chain MAC binding the chunk to its transfer and position.
-        mac: ChunkMac,
         /// Zero-padding length equalizing the wire size of all chunks of
         /// a transfer (keeps equal-size ciphertexts FIFO on the network).
         pad: u32,
@@ -310,19 +370,12 @@ impl MeToMe {
     /// per-chunk `Vec` a message-struct round trip would allocate. The
     /// output is byte-identical to encoding the enum variant.
     #[must_use]
-    pub fn encode_chunk(
-        nonce: &TransferNonce,
-        idx: u32,
-        payload: &[u8],
-        mac: &ChunkMac,
-        pad: u32,
-    ) -> Vec<u8> {
+    pub fn encode_chunk(nonce: &TransferNonce, idx: u32, payload: &[u8], pad: u32) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u8(5);
         w.array(nonce);
         w.u32(idx);
         w.bytes(payload);
-        w.array(mac);
         w.bytes(&vec![0u8; pad as usize]);
         w.finish()
     }
@@ -341,11 +394,13 @@ impl MeToMe {
             MeToMe::Transfer {
                 mr_enclave,
                 data,
+                root,
                 state,
             } => {
                 w.u8(1);
                 w.array(&mr_enclave.0);
                 w.bytes(&data.to_bytes());
+                write_root(&mut w, root.as_ref());
                 w.bytes(state);
             }
             MeToMe::Delivered { mr_enclave } => {
@@ -364,7 +419,7 @@ impl MeToMe {
                 generation,
                 total_len,
                 chunk_size,
-                state_digest,
+                root,
                 data,
             } => {
                 w.u8(4);
@@ -373,7 +428,7 @@ impl MeToMe {
                 w.u64(*generation);
                 w.u64(*total_len);
                 w.u32(*chunk_size);
-                w.array(state_digest);
+                w.array(root);
                 w.bytes(&data.to_bytes());
                 // Empty pad field; [`crate::me::wire::pad_frame`] grows it to the
                 // destination's wire cell before sealing.
@@ -383,16 +438,15 @@ impl MeToMe {
                 nonce,
                 idx,
                 payload,
-                mac,
                 pad,
             } => {
-                return Self::encode_chunk(nonce, *idx, payload, mac, *pad);
+                return Self::encode_chunk(nonce, *idx, payload, *pad);
             }
             MeToMe::DeltaStart {
                 mr_enclave,
                 nonce,
                 chunk_size,
-                payload_digest,
+                root,
                 manifest,
                 data,
             } => {
@@ -400,7 +454,7 @@ impl MeToMe {
                 w.array(&mr_enclave.0);
                 w.array(nonce);
                 w.u32(*chunk_size);
-                w.array(payload_digest);
+                w.array(root);
                 w.bytes(&manifest.to_bytes());
                 w.bytes(&data.to_bytes());
                 // Empty pad field; grown to the wire cell before sealing.
@@ -449,6 +503,7 @@ impl MeToMe {
             1 => MeToMe::Transfer {
                 mr_enclave: MrEnclave(r.array()?),
                 data: MigrationData::from_bytes(r.bytes()?)?,
+                root: read_root(&mut r)?,
                 state: r.bytes_vec()?,
             },
             2 => {
@@ -472,7 +527,7 @@ impl MeToMe {
                     generation: r.u64()?,
                     total_len: r.u64()?,
                     chunk_size: r.u32()?,
-                    state_digest: r.array()?,
+                    root: r.array()?,
                     data: MigrationData::from_bytes(r.bytes()?)?,
                 };
                 let _pad = r.bytes()?;
@@ -482,7 +537,6 @@ impl MeToMe {
                 nonce: r.array()?,
                 idx: r.u32()?,
                 payload: r.bytes_vec()?,
-                mac: r.array()?,
                 pad: u32::try_from(r.bytes()?.len()).map_err(|_| SgxError::Decode)?,
             },
             6 => {
@@ -514,7 +568,7 @@ impl MeToMe {
                     mr_enclave: MrEnclave(r.array()?),
                     nonce: r.array()?,
                     chunk_size: r.u32()?,
-                    payload_digest: r.array()?,
+                    root: r.array()?,
                     manifest: DeltaManifest::from_bytes(r.bytes()?)?,
                     data: MigrationData::from_bytes(r.bytes()?)?,
                 };
@@ -558,12 +612,12 @@ mod tests {
             LibToMe::MigrateRequest {
                 destination: MachineId(9),
                 data: data(),
-                state: b"bulk".to_vec(),
+                root: Some([3; 32]),
             },
             LibToMe::MigrateRequest {
                 destination: MachineId(9),
                 data: data(),
-                state: Vec::new(),
+                root: None,
             },
             LibToMe::Done,
         ];
@@ -577,7 +631,11 @@ mod tests {
         let msgs = [
             MeToLib::IncomingMigration {
                 data: data(),
-                state: b"bulk".to_vec(),
+                root: Some([3; 32]),
+            },
+            MeToLib::IncomingMigration {
+                data: data(),
+                root: None,
             },
             MeToLib::MigrationComplete,
         ];
@@ -592,7 +650,14 @@ mod tests {
             MeToMe::Transfer {
                 mr_enclave: MrEnclave([5; 32]),
                 data: data(),
+                root: Some([4; 32]),
                 state: b"sealed state".to_vec(),
+            },
+            MeToMe::Transfer {
+                mr_enclave: MrEnclave([5; 32]),
+                data: data(),
+                root: None,
+                state: Vec::new(),
             },
             MeToMe::Delivered {
                 mr_enclave: MrEnclave([5; 32]),
@@ -606,14 +671,14 @@ mod tests {
                 generation: 3,
                 total_len: 1_000_000,
                 chunk_size: 4096,
-                state_digest: [9; 32],
+                root: [9; 32],
                 data: data(),
             },
             MeToMe::DeltaStart {
                 mr_enclave: MrEnclave([5; 32]),
                 nonce: [8; 16],
                 chunk_size: 4096,
-                payload_digest: [7; 32],
+                root: [7; 32],
                 manifest: crate::transfer::delta::DeltaManifest {
                     base_generation: 3,
                     new_generation: 4,
@@ -621,7 +686,6 @@ mod tests {
                     base_len: 1_000_000,
                     new_len: 1_000_000,
                     base_digest: [5; 32],
-                    new_digest: [6; 32],
                     dirty: vec![0, 5, 9],
                 },
                 data: data(),
@@ -634,7 +698,6 @@ mod tests {
                 nonce: [8; 16],
                 idx: 7,
                 payload: vec![1, 2, 3],
-                mac: [4; 32],
                 pad: 5,
             },
             MeToMe::ChunkAck {
@@ -663,14 +726,12 @@ mod tests {
             nonce: [1; 16],
             idx: 0,
             payload: vec![7; 100],
-            mac: [2; 32],
             pad: 0,
         };
         let tail = MeToMe::Chunk {
             nonce: [1; 16],
             idx: 1,
             payload: vec![7; 33],
-            mac: [2; 32],
             pad: 67,
         };
         assert_eq!(full.to_bytes().len(), tail.to_bytes().len());
@@ -682,21 +743,39 @@ mod tests {
             nonce: [1; 16],
             idx: 3,
             payload: vec![9; 50],
-            mac: [2; 32],
             pad: 14,
         };
         assert_eq!(
             chunk.to_bytes(),
-            MeToMe::encode_chunk(&[1; 16], 3, &[9; 50], &[2; 32], 14)
+            MeToMe::encode_chunk(&[1; 16], 3, &[9; 50], 14)
         );
-        let incoming = MeToLib::IncomingMigration {
-            data: data(),
-            state: b"bulk".to_vec(),
+    }
+
+    #[test]
+    fn relay_frames_split_back_and_are_total() {
+        for (ct, container) in [(&b"sealed"[..], &b"container"[..]), (b"", b""), (b"x", b"")] {
+            let frame = encode_relay(ct, container);
+            assert_eq!(decode_relay(&frame).unwrap(), (ct, container));
+            let mut w = WireWriter::new();
+            write_relay(&mut w, ct, container);
+            let mut expected = WireWriter::new();
+            expected.bytes(&frame);
+            assert_eq!(w.finish(), expected.finish());
+            for cut in 0..4.min(frame.len()) {
+                assert!(decode_relay(&frame[..cut]).is_err());
+            }
+        }
+        // The sealed message's length does not depend on the state size.
+        let msg = |root| {
+            LibToMe::MigrateRequest {
+                destination: MachineId(1),
+                data: data(),
+                root,
+            }
+            .to_bytes()
+            .len()
         };
-        assert_eq!(
-            incoming.to_bytes(),
-            MeToLib::encode_incoming_migration(&data(), b"bulk")
-        );
+        assert_eq!(msg(Some([0; 32])), msg(Some([0xFF; 32])));
     }
 
     #[test]

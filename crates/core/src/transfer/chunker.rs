@@ -1,57 +1,39 @@
 //! The chunking/streaming engine: split a state payload into fixed-size
-//! chunks bound by an HMAC chain, reassemble and verify them in order,
-//! and resume from an arbitrary chunk boundary after a crash.
+//! chunks, reassemble them strictly in order, and resume from an
+//! arbitrary chunk boundary after a crash.
 //!
-//! Every chunk `i` carries `mac_i = HMAC(K, mac_{i-1} || i || d_i)` with
-//! `d_i = SHA-256(payload_i)`, `mac_{-1} = HMAC(K, "seed")`, and `K`
-//! derived from a secret per-transfer nonce that travels only inside
-//! the attested ME↔ME channel. The chain means a chunk is only accepted
-//! in its unique position within its own transfer: a replayed,
-//! reordered, or cross-transfer-spliced chunk fails verification even
-//! when it is re-injected across a *resumed* session (where the secure
-//! channel's per-session sequence numbers restart). The stream digest
-//! announced in `ChunkStart` — `SHA-256(d_0 || … || d_{n-1})` over the
-//! per-chunk digests — is checked once more on completion.
-//!
-//! Chaining over the 32-byte chunk *digests* (rather than the raw
-//! payloads) keeps the serial chain O(n) in the chunk count: the
-//! payload-proportional hashing is embarrassingly parallel and
-//! [`ChunkStream::with_lanes`] fans it out over a fixed worker-lane
-//! pool with deterministic lane assignment (`idx % lanes`), so the
-//! MACs, the stream digest, and every wire byte are identical for any
-//! lane count. Each chunk is digested with one [`sha256`] call over the
-//! whole payload slice, which the hash folds through its bulk
-//! compression kernel — no per-block buffering anywhere on the digest
-//! path, so chunk hashing runs at raw kernel speed on a single lane
-//! too.
+//! The engine itself checks only position and length: a chunk is
+//! accepted at the next index with the length the announced geometry
+//! gives it. Integrity is enforced once, at release. The payload is a
+//! library-sealed bulk container (or the packed dirty pages that
+//! rebuild one), and the destination Migration Enclave releases the
+//! reassembled container only when it matches the root announced in
+//! `ChunkStart` / `DeltaStart`
+//! ([`crate::library::bulk::verify_root`]). A reordered, replayed,
+//! cross-transfer-spliced or tampered chunk — even one re-injected
+//! across a *resumed* session, where the secure channel's per-session
+//! sequence numbers restart — therefore yields a container that fails
+//! the root check, and the stream is quarantined instead of released.
 
 use crate::error::MigError;
-use mig_crypto::ct::ct_eq;
-use mig_crypto::hmac::HmacSha256;
-use mig_crypto::sha256::{sha256, Sha256};
+use mig_crypto::sha256::Sha256;
 use sgx_sim::wire::{WireReader, WireWriter};
 use std::sync::Arc;
 
-/// A per-transfer nonce (secret inside the attested channel).
+/// A per-transfer nonce: names one stream on the shared ME↔ME channel.
 pub type TransferNonce = [u8; 16];
-/// A chunk-chain MAC.
-pub type ChunkMac = [u8; 32];
 
 /// Upper bound on a streamed payload (adversarial-allocation guard).
 pub const MAX_STREAM_LEN: u64 = 1 << 30;
 
-/// Domain-separation label for the chain key derivation.
-const CHAIN_KEY_LABEL: &[u8] = b"sgx-migrate.transfer.chain-key.v1";
-/// Label for the chain seed MAC.
-const CHAIN_SEED_LABEL: &[u8] = b"sgx-migrate.transfer.chain-seed.v1";
 /// Label for the public trace-id derivation.
 const TRACE_ID_LABEL: &[u8] = b"sgx-migrate.trace-id.v1";
 
 /// Derives the public trace id for a transfer nonce.
 ///
-/// The nonce itself keys the chunk HMAC chain and must never leave the
-/// attested channel; telemetry instead identifies a migration by this
-/// one-way hash, which both endpoints derive independently.
+/// The nonce never leaves the attested channel; telemetry instead
+/// identifies a migration by this one-way hash, which both endpoints
+/// derive independently.
 #[must_use]
 pub fn trace_id(nonce: &TransferNonce) -> [u8; 8] {
     let mut h = Sha256::new();
@@ -70,75 +52,7 @@ pub fn chunk_count(total_len: u64, chunk_size: u32) -> u32 {
     u32::try_from(total_len.div_ceil(u64::from(chunk_size))).expect("bounded by MAX_STREAM_LEN")
 }
 
-fn chain_key(nonce: &TransferNonce) -> [u8; 32] {
-    HmacSha256::mac(CHAIN_KEY_LABEL, nonce)
-}
-
-fn chain_seed(key: &[u8; 32]) -> ChunkMac {
-    HmacSha256::mac(key, CHAIN_SEED_LABEL)
-}
-
-fn chunk_mac(key: &[u8; 32], prev: &ChunkMac, idx: u32, chunk_digest: &[u8; 32]) -> ChunkMac {
-    let mut mac = HmacSha256::new(key);
-    mac.update(prev);
-    mac.update(&idx.to_le_bytes());
-    mac.update(chunk_digest);
-    mac.finalize()
-}
-
-/// Per-chunk SHA-256 digests of `payload`, computed on `lanes` worker
-/// threads with deterministic assignment (`idx % lanes`) — identical
-/// output for any lane count.
-fn chunk_digests(payload: &[u8], chunk_size: u32, n: u32, lanes: u32) -> Vec<[u8; 32]> {
-    // Clamp to the host's parallelism: assignment is idx % lanes with
-    // results written back by index, so the clamp changes scheduling
-    // only, never output bytes.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let lanes = (lanes.max(1) as usize).min((n as usize).max(1)).min(cores);
-    if lanes <= 1 {
-        return (0..n)
-            .map(|idx| sha256(slice_chunk(payload, chunk_size, idx)))
-            .collect();
-    }
-    let mut digests = vec![[0u8; 32]; n as usize];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..lanes)
-            .map(|lane| {
-                s.spawn(move || {
-                    (0..n)
-                        .skip(lane)
-                        .step_by(lanes)
-                        .map(|idx| (idx, sha256(slice_chunk(payload, chunk_size, idx))))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            // mig-lint: allow(enclave-panic, "a panicked digest lane is a caller bug (sha256 is infallible); propagating the panic preserves fail-stop semantics")
-            for (idx, digest) in handle.join().expect("digest lane panicked") {
-                digests[idx as usize] = digest;
-            }
-        }
-    });
-    digests
-}
-
-fn slice_chunk(payload: &[u8], chunk_size: u32, idx: u32) -> &[u8] {
-    let start = idx as usize * chunk_size as usize;
-    let end = (start + chunk_size as usize).min(payload.len());
-    &payload[start..end]
-}
-
-/// The stream digest: SHA-256 over the concatenated per-chunk digests.
-fn digest_of_digests(digests: &[[u8; 32]]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    for d in digests {
-        h.update(d);
-    }
-    h.finalize()
-}
-
-/// Source side: a payload split into chunks with precomputed chain MACs.
+/// Source side: a payload split into chunks.
 ///
 /// The payload is held behind an `Arc<[u8]>` so callers (the Migration
 /// Enclave's retained state, delta payloads) share one allocation with
@@ -148,8 +62,6 @@ pub struct ChunkStream {
     nonce: TransferNonce,
     chunk_size: u32,
     payload: Arc<[u8]>,
-    macs: Vec<ChunkMac>,
-    digest: [u8; 32],
 }
 
 impl std::fmt::Debug for ChunkStream {
@@ -164,9 +76,8 @@ impl std::fmt::Debug for ChunkStream {
 
 impl ChunkStream {
     /// Prepares `payload` for streaming under `nonce` with the given
-    /// chunk size (one pass to MAC-chain, one to digest). Accepts any
-    /// `Arc<[u8]>`-convertible payload; passing an existing `Arc` is
-    /// zero-copy.
+    /// chunk size. Accepts any `Arc<[u8]>`-convertible payload; passing
+    /// an existing `Arc` is zero-copy, and nothing is hashed.
     ///
     /// # Panics
     ///
@@ -175,52 +86,17 @@ impl ChunkStream {
     /// validation and the Migration Library.
     #[must_use]
     pub fn new(nonce: TransferNonce, chunk_size: u32, payload: impl Into<Arc<[u8]>>) -> Self {
-        Self::with_lanes(nonce, chunk_size, payload, 1)
-    }
-
-    /// [`ChunkStream::new`] with the payload-proportional hashing fanned
-    /// out over `lanes` worker threads (deterministic `idx % lanes`
-    /// assignment). MACs and digest are identical for any lane count;
-    /// the serial HMAC chain runs over the 32-byte chunk digests only.
-    ///
-    /// # Panics
-    ///
-    /// Same caller invariants as [`ChunkStream::new`].
-    #[must_use]
-    pub fn with_lanes(
-        nonce: TransferNonce,
-        chunk_size: u32,
-        payload: impl Into<Arc<[u8]>>,
-        lanes: u32,
-    ) -> Self {
         let payload: Arc<[u8]> = payload.into();
         assert!(chunk_size > 0, "zero chunk size");
         assert!(
             payload.len() as u64 <= MAX_STREAM_LEN,
             "payload exceeds MAX_STREAM_LEN"
         );
-        let key = chain_key(&nonce);
-        let n = chunk_count(payload.len() as u64, chunk_size);
-        let digests = chunk_digests(&payload, chunk_size, n, lanes);
-        let mut macs = Vec::with_capacity(n as usize);
-        let mut prev = chain_seed(&key);
-        for (idx, d) in digests.iter().enumerate() {
-            let mac = chunk_mac(&key, &prev, idx as u32, d);
-            macs.push(mac);
-            prev = mac;
-        }
-        let digest = digest_of_digests(&digests);
         ChunkStream {
             nonce,
             chunk_size,
             payload,
-            macs,
-            digest,
         }
-    }
-
-    fn slice(payload: &[u8], chunk_size: u32, idx: u32) -> &[u8] {
-        slice_chunk(payload, chunk_size, idx)
     }
 
     /// The transfer nonce.
@@ -238,7 +114,7 @@ impl ChunkStream {
     /// Number of chunks.
     #[must_use]
     pub fn n_chunks(&self) -> u32 {
-        self.macs.len() as u32
+        chunk_count(self.total_len(), self.chunk_size)
     }
 
     /// The configured chunk size.
@@ -247,45 +123,27 @@ impl ChunkStream {
         self.chunk_size
     }
 
-    /// SHA-256 digest of the whole payload.
-    #[must_use]
-    pub fn digest(&self) -> [u8; 32] {
-        self.digest
-    }
-
-    /// Payload and chain MAC of chunk `idx`.
+    /// Payload of chunk `idx`.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range index (caller bug).
     #[must_use]
-    pub fn chunk(&self, idx: u32) -> (&[u8], ChunkMac) {
-        (
-            Self::slice(&self.payload, self.chunk_size, idx),
-            self.macs[idx as usize],
-        )
+    pub fn chunk(&self, idx: u32) -> &[u8] {
+        let start = idx as usize * self.chunk_size as usize;
+        let end = (start + self.chunk_size as usize).min(self.payload.len());
+        &self.payload[start..end]
     }
 }
 
-/// Destination side: in-order reassembly with chain verification,
-/// serializable for crash-safe persistence.
+/// Destination side: in-order reassembly, serializable for crash-safe
+/// persistence.
 pub struct ChunkAssembler {
-    nonce: TransferNonce,
     chunk_size: u32,
     n_chunks: u32,
     total_len: u64,
-    digest: [u8; 32],
-    key: [u8; 32],
     buf: Vec<u8>,
     next_idx: u32,
-    prev_mac: ChunkMac,
-    /// Running SHA-256 over the verified prefix (speculative restore):
-    /// when enabled, every accepted chunk is folded into the digest as
-    /// it arrives, so [`ChunkAssembler::finish`] only *finalizes* the
-    /// hash instead of re-walking the whole payload after the final
-    /// chunk. Not serialized; re-enabled (and re-seeded from the buffer)
-    /// after a restore.
-    hasher: Option<Sha256>,
 }
 
 impl std::fmt::Debug for ChunkAssembler {
@@ -303,64 +161,28 @@ impl ChunkAssembler {
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] when the announced geometry is
-    /// inconsistent (chunk count vs. length) or exceeds
-    /// [`MAX_STREAM_LEN`].
-    pub fn new(
-        nonce: TransferNonce,
-        chunk_size: u32,
-        total_len: u64,
-        digest: [u8; 32],
-    ) -> Result<Self, MigError> {
+    /// [`MigError::Transfer`] when the announced geometry is degenerate
+    /// (zero chunk size, empty payload) or exceeds [`MAX_STREAM_LEN`].
+    pub fn new(chunk_size: u32, total_len: u64) -> Result<Self, MigError> {
         if chunk_size == 0 {
             return Err(MigError::Transfer("zero chunk size"));
         }
         if total_len == 0 || total_len > MAX_STREAM_LEN {
             return Err(MigError::Transfer("stream length out of bounds"));
         }
-        let key = chain_key(&nonce);
         Ok(ChunkAssembler {
-            nonce,
             chunk_size,
             n_chunks: chunk_count(total_len, chunk_size),
             total_len,
-            digest,
-            prev_mac: chain_seed(&key),
-            key,
             buf: Vec::new(),
             next_idx: 0,
-            hasher: None,
         })
     }
 
-    /// Switches the assembler to incremental digesting (speculative
-    /// restore): chunks already received and every chunk accepted from
-    /// now on are folded into a running SHA-256, making the final
-    /// digest check O(1) in the payload size. Idempotent.
-    pub fn enable_incremental_digest(&mut self) {
-        if self.hasher.is_none() {
-            // The stream digest is a digest-of-digests, so fold the
-            // 32-byte digest of every fully buffered chunk — not the
-            // raw bytes — and let `accept` continue from there.
-            let mut hasher = Sha256::new();
-            for chunk in self.buf.chunks(self.chunk_size as usize) {
-                hasher.update(&sha256(chunk));
-            }
-            self.hasher = Some(hasher);
-        }
-    }
-
-    /// The verified payload prefix received so far (every byte covered
-    /// by the chain MACs of the accepted chunks).
+    /// The payload prefix received so far.
     #[must_use]
     pub fn received(&self) -> &[u8] {
         &self.buf
-    }
-
-    /// The transfer nonce.
-    #[must_use]
-    pub fn nonce(&self) -> TransferNonce {
-        self.nonce
     }
 
     /// Index of the next chunk the assembler will accept — equivalently,
@@ -390,58 +212,33 @@ impl ChunkAssembler {
         }
     }
 
-    /// Verifies and appends chunk `idx`.
+    /// Appends chunk `idx`.
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] on an out-of-order index, a wrong payload
-    /// length, or a chain-MAC mismatch (replay / reorder / splice).
-    pub fn accept(&mut self, idx: u32, payload: &[u8], mac: &ChunkMac) -> Result<(), MigError> {
+    /// [`MigError::Transfer`] on an out-of-order index (a loss artifact:
+    /// the prefix is kept) or a wrong payload length.
+    pub fn accept(&mut self, idx: u32, payload: &[u8]) -> Result<(), MigError> {
         if idx != self.next_idx {
             return Err(MigError::Transfer("chunk index out of order"));
         }
         if payload.len() as u64 != self.expected_len(idx) {
             return Err(MigError::Transfer("chunk length mismatch"));
         }
-        let d = sha256(payload);
-        let expected = chunk_mac(&self.key, &self.prev_mac, idx, &d);
-        if !ct_eq(&expected, mac) {
-            return Err(MigError::Transfer("chunk chain MAC mismatch"));
-        }
         self.buf.extend_from_slice(payload);
-        if let Some(hasher) = &mut self.hasher {
-            hasher.update(&d);
-        }
-        self.prev_mac = expected;
         self.next_idx += 1;
         Ok(())
     }
 
-    /// Consumes the assembler, returning the verified payload.
+    /// Consumes the assembler, returning the reassembled payload (which
+    /// the caller checks before releasing it).
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] when chunks are missing or the final
-    /// SHA-256 digest does not match the announcement.
+    /// [`MigError::Transfer`] when chunks are missing.
     pub fn finish(self) -> Result<Vec<u8>, MigError> {
         if !self.is_complete() {
             return Err(MigError::Transfer("stream incomplete"));
-        }
-        // Speculative restore: the digest was folded in chunk by chunk,
-        // leaving only the finalize here; otherwise walk the payload
-        // chunk-wise now (the legacy unseal-after-complete path).
-        let digest = match self.hasher {
-            Some(hasher) => hasher.finalize(),
-            None => {
-                let mut hasher = Sha256::new();
-                for chunk in self.buf.chunks(self.chunk_size as usize) {
-                    hasher.update(&sha256(chunk));
-                }
-                hasher.finalize()
-            }
-        };
-        if !ct_eq(&digest, &self.digest) {
-            return Err(MigError::Transfer("state digest mismatch"));
         }
         Ok(self.buf)
     }
@@ -450,12 +247,9 @@ impl ChunkAssembler {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
-        w.array(&self.nonce);
         w.u32(self.chunk_size);
         w.u64(self.total_len);
-        w.array(&self.digest);
         w.u32(self.next_idx);
-        w.array(&self.prev_mac);
         w.bytes(&self.buf);
         w.finish()
     }
@@ -468,16 +262,13 @@ impl ChunkAssembler {
     /// internally inconsistent input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, MigError> {
         let mut r = WireReader::new(bytes);
-        let nonce: TransferNonce = r.array()?;
         let chunk_size = r.u32()?;
         let total_len = r.u64()?;
-        let digest: [u8; 32] = r.array()?;
         let next_idx = r.u32()?;
-        let prev_mac: ChunkMac = r.array()?;
         let buf = r.bytes_vec()?;
         r.finish()?;
 
-        let mut assembler = Self::new(nonce, chunk_size, total_len, digest)?;
+        let mut assembler = Self::new(chunk_size, total_len)?;
         if next_idx > assembler.n_chunks {
             return Err(MigError::Transfer("restored index out of range"));
         }
@@ -486,7 +277,6 @@ impl ChunkAssembler {
             return Err(MigError::Transfer("restored buffer length mismatch"));
         }
         assembler.next_idx = next_idx;
-        assembler.prev_mac = prev_mac;
         assembler.buf = buf;
         Ok(assembler)
     }
@@ -495,21 +285,36 @@ impl ChunkAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::library::bulk::tests::test_container;
+    use crate::library::bulk::verify_root;
 
     fn payload(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i % 251) as u8).collect()
     }
 
-    fn stream_through(
-        stream: &ChunkStream,
-        assembler: &mut ChunkAssembler,
-        from: u32,
-    ) -> Result<(), MigError> {
+    /// A container of `n` 300-byte items whose bytes start at `fill`,
+    /// and its root.
+    fn container(n: usize, fill: u8) -> (Vec<u8>, [u8; 32]) {
+        let items: Vec<Vec<u8>> = (0..n)
+            .map(|i| vec![fill.wrapping_add(i as u8); 300])
+            .collect();
+        test_container(&items)
+    }
+
+    fn stream_through(stream: &ChunkStream, assembler: &mut ChunkAssembler, from: u32) {
         for idx in from..stream.n_chunks() {
-            let (chunk, mac) = stream.chunk(idx);
-            assembler.accept(idx, chunk, &mac)?;
+            assembler.accept(idx, stream.chunk(idx)).unwrap();
         }
-        Ok(())
+    }
+
+    /// Reassembles `stream` into a fresh assembler and applies the
+    /// release gate against `root`.
+    fn release(stream: &ChunkStream, root: &[u8; 32]) -> Result<Vec<u8>, MigError> {
+        let mut asm = ChunkAssembler::new(stream.chunk_size(), stream.total_len()).unwrap();
+        stream_through(stream, &mut asm, 0);
+        let out = asm.finish()?;
+        verify_root(&out, root)?;
+        Ok(out)
     }
 
     #[test]
@@ -517,135 +322,148 @@ mod tests {
         for len in [1usize, 7, 256, 257, 1024, 5000] {
             let data = payload(len);
             let stream = ChunkStream::new([7; 16], 256, data.clone());
-            let mut asm =
-                ChunkAssembler::new([7; 16], 256, stream.total_len(), stream.digest()).unwrap();
+            let mut asm = ChunkAssembler::new(256, stream.total_len()).unwrap();
             assert_eq!(asm.n_chunks(), stream.n_chunks());
-            stream_through(&stream, &mut asm, 0).unwrap();
+            stream_through(&stream, &mut asm, 0);
             assert_eq!(asm.finish().unwrap(), data);
         }
     }
 
     #[test]
-    fn lane_count_never_changes_macs_or_digest() {
-        // Deterministic idx % lanes assignment: every lane count
-        // (including more lanes than chunks) yields byte-identical
-        // chain MACs and stream digest.
+    fn chunk_slices_partition_the_payload() {
+        // The sender hashes nothing: its chunks are plain slices that
+        // concatenate back to the payload for every geometry.
         for len in [1usize, 255, 256, 1000] {
             let data = payload(len);
-            let base = ChunkStream::new([9; 16], 64, data.clone());
-            for lanes in [1u32, 2, 3, 4, 8, 64] {
-                let fanned = ChunkStream::with_lanes([9; 16], 64, data.clone(), lanes);
-                assert_eq!(fanned.digest(), base.digest(), "lanes={lanes} len={len}");
-                for idx in 0..base.n_chunks() {
-                    assert_eq!(
-                        fanned.chunk(idx),
-                        base.chunk(idx),
-                        "lanes={lanes} idx={idx}"
-                    );
-                }
+            for chunk_size in [1u32, 3, 64, 256, 4096] {
+                let stream = ChunkStream::new([9; 16], chunk_size, data.clone());
+                let joined: Vec<u8> = (0..stream.n_chunks())
+                    .flat_map(|idx| stream.chunk(idx).to_vec())
+                    .collect();
+                assert_eq!(joined, data, "chunk_size={chunk_size} len={len}");
+                assert_eq!(stream.n_chunks(), chunk_count(len as u64, chunk_size));
             }
         }
     }
 
     #[test]
     fn out_of_order_and_replay_rejected() {
-        let stream = ChunkStream::new([1; 16], 16, payload(64));
-        let mut asm = ChunkAssembler::new([1; 16], 16, 64, stream.digest()).unwrap();
-        let (c0, m0) = stream.chunk(0);
-        let (c1, m1) = stream.chunk(1);
+        let (bytes, root) = container(4, 1);
+        let stream = ChunkStream::new([1; 16], 64, bytes.clone());
+        let mut asm = ChunkAssembler::new(64, stream.total_len()).unwrap();
         // Skipping ahead fails.
-        assert!(matches!(asm.accept(1, c1, &m1), Err(MigError::Transfer(_))));
-        asm.accept(0, c0, &m0).unwrap();
+        assert!(matches!(
+            asm.accept(1, stream.chunk(1)),
+            Err(MigError::Transfer(_))
+        ));
+        asm.accept(0, stream.chunk(0)).unwrap();
         // Replay of an accepted chunk fails.
-        assert!(matches!(asm.accept(0, c0, &m0), Err(MigError::Transfer(_))));
-        // A chunk presented at the wrong position fails the chain even if
-        // the index field is rewritten to match.
-        assert!(matches!(asm.accept(1, c0, &m0), Err(MigError::Transfer(_))));
+        assert!(matches!(
+            asm.accept(0, stream.chunk(0)),
+            Err(MigError::Transfer(_))
+        ));
+        // A chunk presented at the wrong position with its index field
+        // rewritten passes the engine, but the container it builds fails
+        // the root at release.
+        asm.accept(1, stream.chunk(2)).unwrap();
+        stream_through(&stream, &mut asm, 2);
+        let out = asm.finish().unwrap();
+        assert_ne!(out, bytes);
+        assert!(verify_root(&out, &root).is_err());
     }
 
     #[test]
     fn cross_transfer_splice_rejected() {
-        let a = ChunkStream::new([1; 16], 16, payload(64));
-        let b = ChunkStream::new([2; 16], 16, payload(64));
-        let mut asm = ChunkAssembler::new([1; 16], 16, 64, a.digest()).unwrap();
-        let (c0, m0) = b.chunk(0);
-        assert!(matches!(asm.accept(0, c0, &m0), Err(MigError::Transfer(_))));
+        let (a, root_a) = container(4, 1);
+        let (b, _) = container(4, 9);
+        assert_eq!(a.len(), b.len(), "same geometry, different content");
+        let xa = ChunkStream::new([1; 16], 64, a.clone());
+        let xb = ChunkStream::new([2; 16], 64, b);
+        for spliced in 0..xa.n_chunks() {
+            let mut asm = ChunkAssembler::new(64, xa.total_len()).unwrap();
+            for idx in 0..xa.n_chunks() {
+                let chunk = if idx == spliced {
+                    xb.chunk(idx)
+                } else {
+                    xa.chunk(idx)
+                };
+                asm.accept(idx, chunk).unwrap();
+            }
+            let out = asm.finish().unwrap();
+            if out != a {
+                assert!(verify_root(&out, &root_a).is_err(), "splice at {spliced}");
+            }
+        }
+        assert_eq!(release(&xa, &root_a).unwrap(), a);
     }
 
     #[test]
     fn tampered_payload_rejected() {
-        let stream = ChunkStream::new([3; 16], 32, payload(100));
-        let mut asm = ChunkAssembler::new([3; 16], 32, 100, stream.digest()).unwrap();
-        let (c0, m0) = stream.chunk(0);
-        let mut evil = c0.to_vec();
-        evil[0] ^= 1;
-        assert!(matches!(
-            asm.accept(0, &evil, &m0),
-            Err(MigError::Transfer(_))
-        ));
+        let (bytes, root) = container(3, 4);
+        let stream = ChunkStream::new([3; 16], 32, bytes.clone());
+        for at in [0usize, 17, bytes.len() / 2, bytes.len() - 1] {
+            let mut evil = bytes.clone();
+            evil[at] ^= 1;
+            let evil_stream = ChunkStream::new([3; 16], 32, evil);
+            assert!(release(&evil_stream, &root).is_err(), "flip at {at}");
+        }
+        assert_eq!(release(&stream, &root).unwrap(), bytes);
     }
 
     #[test]
     fn resume_from_serialized_state() {
         let data = payload(1000);
         let stream = ChunkStream::new([9; 16], 128, data.clone());
-        let mut asm = ChunkAssembler::new([9; 16], 128, 1000, stream.digest()).unwrap();
+        let mut asm = ChunkAssembler::new(128, 1000).unwrap();
         for idx in 0..3 {
-            let (c, m) = stream.chunk(idx);
-            asm.accept(idx, c, &m).unwrap();
+            asm.accept(idx, stream.chunk(idx)).unwrap();
         }
         // Crash: persist, restore, resume from next_idx.
         let blob = asm.to_bytes();
         let mut restored = ChunkAssembler::from_bytes(&blob).unwrap();
         assert_eq!(restored.next_idx(), 3);
-        stream_through(&stream, &mut restored, 3).unwrap();
+        assert_eq!(restored.received().len(), 3 * 128);
+        stream_through(&stream, &mut restored, 3);
         assert_eq!(restored.finish().unwrap(), data);
     }
 
     #[test]
-    fn incremental_digest_matches_final_hash() {
-        let data = payload(1000);
-        let stream = ChunkStream::new([9; 16], 128, data.clone());
-        // Enabled from the start.
-        let mut asm = ChunkAssembler::new([9; 16], 128, 1000, stream.digest()).unwrap();
-        asm.enable_incremental_digest();
-        stream_through(&stream, &mut asm, 0).unwrap();
-        assert_eq!(asm.finish().unwrap(), data);
-        // Enabled mid-stream (the restore path): bytes already received
-        // are folded in at enable time.
-        let mut asm = ChunkAssembler::new([9; 16], 128, 1000, stream.digest()).unwrap();
+    fn release_gate_rejects_a_wrong_root() {
+        // Interrupted or not, the reassembled container is released only
+        // under the root it was announced with.
+        let (bytes, root) = container(5, 2);
+        let (_, other_root) = container(5, 3);
+        let stream = ChunkStream::new([9; 16], 128, bytes.clone());
+        let mut asm = ChunkAssembler::new(128, stream.total_len()).unwrap();
         for idx in 0..3 {
-            let (c, m) = stream.chunk(idx);
-            asm.accept(idx, c, &m).unwrap();
+            asm.accept(idx, stream.chunk(idx)).unwrap();
         }
-        assert_eq!(asm.received().len(), 3 * 128);
-        asm.enable_incremental_digest();
-        asm.enable_incremental_digest(); // idempotent
-        stream_through(&stream, &mut asm, 3).unwrap();
-        assert_eq!(asm.finish().unwrap(), data);
-        // A wrong announced digest still rejects on the incremental path.
-        let mut asm = ChunkAssembler::new([9; 16], 128, 1000, [0; 32]).unwrap();
-        asm.enable_incremental_digest();
-        stream_through(&stream, &mut asm, 0).unwrap();
-        assert!(matches!(asm.finish(), Err(MigError::Transfer(_))));
+        let mut asm = ChunkAssembler::from_bytes(&asm.to_bytes()).unwrap();
+        stream_through(&stream, &mut asm, 3);
+        let out = asm.finish().unwrap();
+        verify_root(&out, &root).unwrap();
+        assert_eq!(out, bytes);
+        assert!(matches!(
+            verify_root(&out, &other_root),
+            Err(MigError::BulkMismatch)
+        ));
     }
 
     #[test]
-    fn incomplete_or_wrong_digest_rejected() {
-        let stream = ChunkStream::new([4; 16], 64, payload(200));
-        let asm = ChunkAssembler::new([4; 16], 64, 200, stream.digest()).unwrap();
+    fn incomplete_or_wrong_root_rejected() {
+        let (bytes, root) = container(2, 5);
+        let stream = ChunkStream::new([4; 16], 64, bytes);
+        let asm = ChunkAssembler::new(64, stream.total_len()).unwrap();
         assert!(matches!(asm.finish(), Err(MigError::Transfer(_))));
-
-        let mut asm = ChunkAssembler::new([4; 16], 64, 200, [0; 32]).unwrap();
-        stream_through(&stream, &mut asm, 0).unwrap();
-        assert!(matches!(asm.finish(), Err(MigError::Transfer(_))));
+        assert!(release(&stream, &[0; 32]).is_err());
+        assert!(release(&stream, &root).is_ok());
     }
 
     #[test]
     fn geometry_validation() {
-        assert!(ChunkAssembler::new([0; 16], 0, 10, [0; 32]).is_err());
-        assert!(ChunkAssembler::new([0; 16], 16, 0, [0; 32]).is_err());
-        assert!(ChunkAssembler::new([0; 16], 16, MAX_STREAM_LEN + 1, [0; 32]).is_err());
+        assert!(ChunkAssembler::new(0, 10).is_err());
+        assert!(ChunkAssembler::new(16, 0).is_err());
+        assert!(ChunkAssembler::new(16, MAX_STREAM_LEN + 1).is_err());
         assert_eq!(chunk_count(0, 16), 0);
         assert_eq!(chunk_count(16, 16), 1);
         assert_eq!(chunk_count(17, 16), 2);
@@ -653,14 +471,24 @@ mod tests {
 
     #[test]
     fn tampered_persisted_state_rejected() {
-        let stream = ChunkStream::new([5; 16], 32, payload(100));
-        let mut asm = ChunkAssembler::new([5; 16], 32, 100, stream.digest()).unwrap();
-        let (c, m) = stream.chunk(0);
-        asm.accept(0, c, &m).unwrap();
+        let (bytes, root) = container(3, 6);
+        let stream = ChunkStream::new([5; 16], 32, bytes);
+        let mut asm = ChunkAssembler::new(32, stream.total_len()).unwrap();
+        for idx in 0..4 {
+            asm.accept(idx, stream.chunk(idx)).unwrap();
+        }
         let blob = asm.to_bytes();
         // Truncations never panic.
         for cut in 1..blob.len().min(64) {
             assert!(ChunkAssembler::from_bytes(&blob[..blob.len() - cut]).is_err());
         }
+        // A flipped byte in the persisted prefix restores, but the
+        // container it completes fails the root at release.
+        let mut evil = blob.clone();
+        let last = evil.len() - 1;
+        evil[last] ^= 0x10;
+        let mut restored = ChunkAssembler::from_bytes(&evil).unwrap();
+        stream_through(&stream, &mut restored, 4);
+        assert!(verify_root(&restored.finish().unwrap(), &root).is_err());
     }
 }

@@ -6,20 +6,20 @@
 //! generation; [`diff`] compares a new state against a base generation's
 //! digest table and produces a [`DeltaManifest`] (the compact description
 //! of which pages changed) plus the packed dirty-page payload; [`apply`]
-//! reconstructs the new state from the base plus the delta and verifies
-//! the announced whole-state digest before returning.
+//! reconstructs the new state from the base plus the delta.
 //!
 //! Trust model: digest tables may live on the adversary-controlled disk
 //! (see [`super::checkpoint::CheckpointStore`]) and manifests travel
 //! inside the attested ME↔ME channel. A corrupted digest table can only
 //! cause a *wrong* delta, never a silently wrong state: [`apply`]
-//! validates the manifest's internal consistency before touching any
-//! page and checks the reconstructed state against
-//! [`DeltaManifest::new_digest`] before releasing it.
+//! validates the manifest's internal consistency and content-checks the
+//! base before touching any page, and the Migration Enclave releases
+//! the reconstruction only when it matches the container root announced
+//! beside the manifest ([`crate::library::bulk::verify_root`]).
 
 use crate::error::MigError;
 use crate::transfer::chunker::MAX_STREAM_LEN;
-use mig_crypto::sha256::{sha256, Sha256};
+use mig_crypto::sha256::sha256;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 
@@ -165,8 +165,6 @@ pub struct DeltaManifest {
     /// fallback reset); the digest pins the exact base so a delta is
     /// never applied onto the wrong snapshot.
     pub base_digest: [u8; 32],
-    /// SHA-256 of the complete new state ([`apply`] verifies it).
-    pub new_digest: [u8; 32],
     /// Dirty page indices in the new state's layout, strictly ascending.
     pub dirty: Vec<u32>,
 }
@@ -221,7 +219,6 @@ impl DeltaManifest {
         w.u64(self.base_len);
         w.u64(self.new_len);
         w.array(&self.base_digest);
-        w.array(&self.new_digest);
         w.u32(self.dirty.len() as u32);
         for &idx in &self.dirty {
             w.u32(idx);
@@ -243,7 +240,6 @@ impl DeltaManifest {
         let base_len = r.u64()?;
         let new_len = r.u64()?;
         let base_digest = r.array()?;
-        let new_digest = r.array()?;
         let n = r.u32()? as usize;
         let mut dirty = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
@@ -257,7 +253,6 @@ impl DeltaManifest {
             base_len,
             new_len,
             base_digest,
-            new_digest,
             dirty,
         };
         manifest.validate().map_err(|_| SgxError::Decode)?;
@@ -310,22 +305,20 @@ pub fn diff(
         base_len: base.total_len(),
         new_len: new_state.len() as u64,
         base_digest: base.state_digest(),
-        new_digest: sha256(new_state),
         dirty,
     };
     (manifest, payload)
 }
 
 /// Reconstructs the new state from `base` plus a delta, verifying the
-/// manifest *before* any page is applied and the whole-state digest
-/// before the result is released.
+/// manifest and the base *before* any page is applied. The caller checks
+/// the result before releasing it.
 ///
 /// # Errors
 ///
 /// [`MigError::Transfer`] when the manifest fails validation, the base or
-/// payload length does not match the manifest, a clean page is not fully
-/// covered by the base, or the reconstructed state's digest differs from
-/// [`DeltaManifest::new_digest`].
+/// payload length does not match the manifest, the base digest differs,
+/// or a clean page is not fully covered by the base.
 pub fn apply(base: &[u8], manifest: &DeltaManifest, payload: &[u8]) -> Result<Vec<u8>, MigError> {
     // All validation happens up front: nothing is reconstructed from a
     // manifest that is internally inconsistent.
@@ -363,9 +356,6 @@ pub fn apply(base: &[u8], manifest: &DeltaManifest, payload: &[u8]) -> Result<Ve
             out.extend_from_slice(&base[start..start + len]);
         }
     }
-    if !mig_crypto::ct::ct_eq(&sha256(&out), &manifest.new_digest) {
-        return Err(MigError::Transfer("delta: reconstructed digest mismatch"));
-    }
     Ok(out)
 }
 
@@ -375,28 +365,21 @@ pub fn apply(base: &[u8], manifest: &DeltaManifest, payload: &[u8]) -> Result<Ve
 /// state only after the whole packed payload arrived, the retained base
 /// is staged up front (manifest validated, base content-checked, clean
 /// pages copied into place) and the dirty-page payload is overlaid
-/// fragment by fragment as its chunks verify, folding the new state's
-/// whole digest in incrementally. When the final chunk lands, only the
-/// digest finalize and the release remain. The release rule is identical
-/// to [`apply`]'s: nothing is handed out before the reconstructed state
-/// matches [`DeltaManifest::new_digest`].
+/// fragment by fragment as its chunks arrive. When the final chunk
+/// lands, only the release check remains — the same one [`apply`]'s
+/// result goes through.
 pub struct StagedApply {
     manifest: DeltaManifest,
     /// The staged output: clean pages copied from the base up front,
-    /// dirty page slots overwritten as payload bytes verify.
+    /// dirty page slots overwritten as payload bytes arrive.
     out: Vec<u8>,
     /// Payload bytes absorbed so far (the packed dirty pages arrive
-    /// strictly in order behind the chunk chain).
+    /// strictly in chunk order).
     absorbed: u64,
     /// Cursor into the dirty-page list: which dirty page the next
     /// payload byte lands in, and how far into it.
     rank: usize,
     offset_in_page: u64,
-    /// Incremental SHA-256 over `out`, folded in up to `hashed_upto` —
-    /// the frontier below which every byte is final (clean pages, plus
-    /// dirty pages fully covered by absorbed payload).
-    hasher: Sha256,
-    hashed_upto: usize,
 }
 
 impl std::fmt::Debug for StagedApply {
@@ -404,7 +387,6 @@ impl std::fmt::Debug for StagedApply {
         f.debug_struct("StagedApply")
             .field("new_len", &self.manifest.new_len)
             .field("absorbed", &self.absorbed)
-            .field("hashed_upto", &self.hashed_upto)
             .finish_non_exhaustive()
     }
 }
@@ -441,19 +423,13 @@ impl StagedApply {
             }
             out[start..start + len].copy_from_slice(&base[start..start + len]);
         }
-        let mut staged = StagedApply {
+        Ok(StagedApply {
             manifest: manifest.clone(),
             out,
             absorbed: 0,
             rank: 0,
             offset_in_page: 0,
-            hasher: Sha256::new(),
-            hashed_upto: 0,
-        };
-        // A clean prefix (pages before the first dirty one) is final
-        // immediately; fold it in now.
-        staged.advance_hash();
-        Ok(staged)
+        })
     }
 
     /// The generation this staged delta produces.
@@ -468,10 +444,8 @@ impl StagedApply {
         &self.manifest
     }
 
-    /// Overlays the next `bytes` of the verified packed payload onto the
-    /// staged output and advances the incremental digest over every byte
-    /// that just became final. Feed exactly the chunk payloads, in chunk
-    /// order.
+    /// Overlays the next `bytes` of the packed payload onto the staged
+    /// output. Feed exactly the chunk payloads, in chunk order.
     ///
     /// # Errors
     ///
@@ -495,44 +469,18 @@ impl StagedApply {
                 self.offset_in_page = 0;
             }
         }
-        self.advance_hash();
         Ok(())
     }
 
-    /// Folds every newly finalized byte of `out` into the running
-    /// digest. The frontier is the start of the first dirty page the
-    /// payload has not fully covered yet (everything before it — clean
-    /// pages included — can never change again), or the whole state once
-    /// the payload is complete.
-    fn advance_hash(&mut self) {
-        let frontier = match self.manifest.dirty.get(self.rank) {
-            Some(&page) => {
-                (u64::from(page) * u64::from(self.manifest.page_size) + self.offset_in_page)
-                    as usize
-            }
-            None => self.out.len(),
-        };
-        if frontier > self.hashed_upto {
-            self.hasher.update(&self.out[self.hashed_upto..frontier]);
-            self.hashed_upto = frontier;
-        }
-    }
-
-    /// Finalizes the staged state: checks that the payload is complete
-    /// and the reconstructed state matches the manifest's
-    /// [`DeltaManifest::new_digest`], then releases it.
+    /// Hands out the reconstructed state once the payload is complete
+    /// (the caller checks it before releasing it).
     ///
     /// # Errors
     ///
-    /// [`MigError::Transfer`] on a short payload or a digest mismatch
-    /// (the reconstruction is discarded).
+    /// [`MigError::Transfer`] on a short payload.
     pub fn finish(self) -> Result<Vec<u8>, MigError> {
         if self.absorbed != self.manifest.payload_len() {
             return Err(MigError::Transfer("delta: payload length mismatch"));
-        }
-        debug_assert_eq!(self.hashed_upto, self.out.len());
-        if !mig_crypto::ct::ct_eq(&self.hasher.finalize(), &self.manifest.new_digest) {
-            return Err(MigError::Transfer("delta: reconstructed digest mismatch"));
         }
         Ok(self.out)
     }
@@ -618,9 +566,9 @@ mod tests {
         assert!(apply(&base, &manifest, &payload[..payload.len() - 1]).is_err());
         // Base length mismatch.
         assert!(apply(&base[..100], &manifest, &payload).is_err());
-        // Digest mismatch: reconstruction is discarded.
+        // Base content mismatch.
         let mut m = manifest.clone();
-        m.new_digest[0] ^= 1;
+        m.base_digest[0] ^= 1;
         assert!(apply(&base, &m, &payload).is_err());
     }
 
@@ -686,12 +634,10 @@ mod tests {
         let mut staged = StagedApply::new(&base, &manifest).unwrap();
         staged.absorb(&payload).unwrap();
         assert!(staged.absorb(&[0]).is_err());
-        // Tampered new-state digest: the reconstruction is discarded.
+        // Redirected onto another base: rejected before staging.
         let mut m = manifest.clone();
-        m.new_digest[0] ^= 1;
-        let mut staged = StagedApply::new(&base, &m).unwrap();
-        staged.absorb(&payload).unwrap();
-        assert!(staged.finish().is_err());
+        m.base_digest[0] ^= 1;
+        assert!(StagedApply::new(&base, &m).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The **state-transfer subsystem**: checkpointing and chunked,
-//! resumable, integrity-chained streaming of large persistent state
-//! between Migration Enclaves (the CTR-style extension of the paper's
-//! single-message transfer).
+//! resumable streaming of large persistent state between Migration
+//! Enclaves (the CTR-style extension of the paper's single-message
+//! transfer).
 //!
 //! The DSN'18 protocol hands the destination one `transfer data` message
 //! (Fig. 2) — fine for the 1.3 KiB Table I payload, hopeless for an
@@ -17,12 +17,14 @@
 //!   resumes instead of restarting.
 //! * [`chunker`] — the chunking/streaming engine: a source-side
 //!   [`chunker::ChunkStream`] that splits the payload into fixed-size
-//!   chunks bound together by an HMAC chain keyed from a secret
-//!   per-transfer nonce, and a destination-side
-//!   [`chunker::ChunkAssembler`] that verifies the chain chunk by chunk,
-//!   survives serialization across enclave restarts, and reports the
-//!   next index it needs so a resumed sender can continue from the last
-//!   acknowledged chunk.
+//!   chunks, and a destination-side [`chunker::ChunkAssembler`] that
+//!   reassembles them strictly in order, survives serialization across
+//!   enclave restarts, and reports the next index it needs so a resumed
+//!   sender can continue from the last acknowledged chunk. The payload
+//!   is the library-sealed bulk container (or the dirty pages that
+//!   rebuild one); integrity is checked once, at release, against the
+//!   container root announced with Table I
+//!   ([`crate::library::bulk::verify_root`]).
 //!
 //! * [`delta`] — dirty-page delta checkpoints: per-page digest tables,
 //!   a compact [`delta::DeltaManifest`], and `diff`/`apply` so a repeat
@@ -94,9 +96,9 @@ pub const DEFAULT_BACKOFF_BASE: Duration = Duration::from_millis(5);
 /// transition `TRANSFER` path (and the exact 2×chunks transition
 /// profile earlier telemetry asserts on).
 pub const DEFAULT_BATCH_SIZE: u32 = 1;
-/// Default seal/digest worker-lane count (1 = serial pipeline).
+/// Default seal worker-lane count (1 = serial pipeline).
 pub const DEFAULT_SEAL_LANES: u32 = 1;
-/// Largest accepted seal/digest worker-lane count.
+/// Largest accepted seal worker-lane count.
 pub const MAX_SEAL_LANES: u32 = 64;
 
 /// Tuning knobs of the streaming state transfer, provisioned into each
@@ -126,13 +128,14 @@ pub struct TransferConfig {
     /// Byte budget of the per-measurement generation cache (delta
     /// bases); least-recently-used entries are evicted beyond it.
     pub cache_budget: u64,
-    /// Destination-side **speculative restore**: unseal and stage
-    /// verified HMAC-chain prefixes as chunks arrive (incremental
-    /// whole-state digest; delta bases staged and overlaid page by
-    /// page), so the final chunk only finalizes the digest check and
-    /// releases. Off = the legacy unseal-after-complete path. Release
-    /// rules (digest-before-release, validate-before-apply, quarantine
-    /// on tamper) are identical either way.
+    /// Destination-side **speculative restore** of delta streams: the
+    /// retained base is content-checked and staged at `DeltaStart`, and
+    /// dirty pages are overlaid as their chunks arrive, so the final
+    /// chunk only checks the root and releases. Off = the delta is
+    /// applied after the last chunk. Full streams are unaffected (their
+    /// buffer already is the container). Release rules (root before
+    /// release, validate-before-apply, quarantine on tamper) are
+    /// identical either way.
     pub speculative_restore: bool,
     /// Virtual-time deadline for one supervised migration. When it
     /// lapses the [`crate::supervisor::MigrationSupervisor`] stops
@@ -150,10 +153,9 @@ pub struct TransferConfig {
     /// `min(sender config, receiver advertisement)`). 1 keeps the
     /// legacy one-frame-per-transition path.
     pub batch_size: u32,
-    /// Seal/digest worker lanes: chunk digests and cell AEAD work fan
-    /// out over this many deterministic lanes (assignment by chunk
-    /// index, so wire bytes and TRACE.json stay byte-identical). 1 =
-    /// serial.
+    /// Seal worker lanes: cell AEAD work fans out over this many
+    /// deterministic lanes (assignment by chunk index, so wire bytes and
+    /// TRACE.json stay byte-identical). 1 = serial.
     pub seal_lanes: u32,
 }
 

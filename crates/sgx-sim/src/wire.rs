@@ -78,6 +78,13 @@ impl WireWriter {
         self
     }
 
+    /// Appends bytes *without* a length prefix: a trailing field whose
+    /// extent the reader takes from the enclosing frame.
+    pub fn raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// Returns the encoded buffer.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {

@@ -10,6 +10,8 @@ use mig_core::me::{ReceiverFsm, ReceiverRelease, SenderFsm, StreamProgress};
 use mig_core::transfer::chunker::{ChunkAssembler, ChunkStream};
 use mig_core::transfer::delta::{self, PageDigests};
 use proptest::prelude::*;
+
+mod common;
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
 
@@ -174,10 +176,11 @@ proptest! {
         speculative in any::<bool>(),
         events in proptest::collection::vec(0u32..6u32, 0..40)
     ) {
-        let base: Vec<u8> = (0..30_000u32).map(|i| (i as u8).wrapping_add(seed)).collect();
-        let mut new_state = base.clone();
-        new_state[7] ^= 0x5A;
-        new_state[20_000] ^= 0xA5;
+        // Two generations of a genuine ~30 KB container: two entries
+        // rewritten in between.
+        let gens = common::kv_generations(u64::from(seed), 24, 1200, seed, &[(1, 0x5A), (20, 0xA5)]);
+        let (base, new_state) = (gens[0].clone(), gens[2].clone());
+        let root = common::root_of(&new_state);
 
         let (stream, manifest, expected) = if is_delta {
             let digests = PageDigests::compute(&base, delta::PAGE_SIZE);
@@ -190,12 +193,12 @@ proptest! {
         let start = |spec: bool| -> ReceiverFsm {
             match &manifest {
                 Some(m) => ReceiverFsm::start_delta(
-                    MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1024,
-                    stream.digest(), m.clone(), Some(&base), spec,
+                    MachineId(1), MrEnclave([4; 32]), data(), root, 1024,
+                    m.clone(), Some(&base), spec,
                 ).unwrap(),
                 None => ReceiverFsm::start_full(
-                    MachineId(1), MrEnclave([4; 32]), data(), [2; 16], 1,
-                    stream.total_len(), 1024, stream.digest(), spec,
+                    MachineId(1), MrEnclave([4; 32]), data(), root, 1,
+                    stream.total_len(), 1024,
                 ).unwrap(),
             }
         };
@@ -210,8 +213,7 @@ proptest! {
             match e {
                 // Deliver the next chunk: always verifies and advances.
                 0..=2 => {
-                    let (c, m) = stream.chunk(next);
-                    fsm.on_chunk(next, c, &m).unwrap();
+                    fsm.on_chunk(next, stream.chunk(next)).unwrap();
                     prop_assert_eq!(fsm.next_idx(), next + 1);
                 }
                 // Replay an old chunk / skip ahead: rejected as a loss
@@ -219,8 +221,7 @@ proptest! {
                 3 | 4 => {
                     let idx = if e == 3 && next > 0 { next - 1 } else { next + 1 };
                     if idx < stream.n_chunks() {
-                        let (c, m) = stream.chunk(idx);
-                        let err = fsm.on_chunk(idx, c, &m).unwrap_err();
+                        let err = fsm.on_chunk(idx, stream.chunk(idx)).unwrap_err();
                         prop_assert!(matches!(err, MigError::Transfer("chunk index out of order")));
                         prop_assert_eq!(fsm.next_idx(), next);
                     }
@@ -231,7 +232,7 @@ proptest! {
                     let assembler = ChunkAssembler::from_bytes(&fsm.assembler_bytes()).unwrap();
                     spec_now = !spec_now;
                     fsm = ReceiverFsm::restore(
-                        MachineId(1), MrEnclave([4; 32]), data(), fsm.generation(),
+                        MachineId(1), MrEnclave([4; 32]), data(), root, fsm.generation(),
                         assembler, manifest.clone(), Some(&base), spec_now,
                     );
                     prop_assert_eq!(fsm.next_idx(), next);
@@ -239,8 +240,7 @@ proptest! {
             }
         }
         for idx in fsm.next_idx()..stream.n_chunks() {
-            let (c, m) = stream.chunk(idx);
-            fsm.on_chunk(idx, c, &m).unwrap();
+            fsm.on_chunk(idx, stream.chunk(idx)).unwrap();
         }
         prop_assert!(fsm.is_complete());
         match fsm.release(Some(&base)).unwrap() {

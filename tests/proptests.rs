@@ -13,6 +13,8 @@ use mig_core::library::InitRequest;
 use mig_core::policy::MigrationPolicy;
 use mig_core::transfer::chunker::{chunk_count, ChunkAssembler, ChunkStream};
 use proptest::prelude::*;
+
+mod common;
 use sgx_sim::counters::CounterUuid;
 use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
 use sgx_sim::SgxError;
@@ -246,6 +248,13 @@ proptest! {
     }
 }
 
+/// Two genuine containers of the same geometry (one entry rewritten in
+/// between), built once for the tamper properties.
+fn tamper_generations() -> &'static [Vec<u8>] {
+    static GENS: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    GENS.get_or_init(|| common::kv_generations(7, 6, 1500, 0x42, &[(2, 0x99)]))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -262,72 +271,87 @@ proptest! {
         let stream = ChunkStream::new(nonce, chunk_size, payload.clone());
         let n = stream.n_chunks();
         prop_assert_eq!(n, chunk_count(payload.len() as u64, chunk_size));
-        let mut asm = ChunkAssembler::new(
-            nonce,
-            chunk_size,
-            stream.total_len(),
-            stream.digest(),
-        ).unwrap();
+        let mut asm = ChunkAssembler::new(chunk_size, stream.total_len()).unwrap();
 
         // Feed chunks up to an arbitrary boundary, persist, resume.
         let crash_at = n * resume_frac / 100;
         for idx in 0..crash_at {
-            let (chunk, mac) = stream.chunk(idx);
-            asm.accept(idx, chunk, &mac).unwrap();
+            asm.accept(idx, stream.chunk(idx)).unwrap();
         }
         let mut asm = ChunkAssembler::from_bytes(&asm.to_bytes()).unwrap();
         prop_assert_eq!(asm.next_idx(), crash_at);
         for idx in crash_at..n {
-            let (chunk, mac) = stream.chunk(idx);
-            asm.accept(idx, chunk, &mac).unwrap();
+            asm.accept(idx, stream.chunk(idx)).unwrap();
         }
         prop_assert!(asm.is_complete());
         prop_assert_eq!(asm.finish().unwrap(), payload);
     }
 
-    /// Any single bit flip in any chunk payload, any index rewrite, and
-    /// any cross-nonce splice breaks the digest chain.
+    /// Any single bit flip in any chunk, and any chunk spliced in from
+    /// another transfer of the same geometry, yields a container the
+    /// release gate (`verify_root` against the announced root) refuses;
+    /// index replays and skips are refused on arrival without poisoning
+    /// the assembler.
     #[test]
-    fn chunker_chain_detects_any_tamper(
-        payload in proptest::collection::vec(any::<u8>(), 2..5_000),
-        chunk_size in 1u32..300,
+    fn verify_root_detects_any_chunk_tamper(
+        chunk_size in 64u32..3_000,
         nonce in any::<[u8; 16]>(),
-        other_nonce in any::<[u8; 16]>(),
+        flip_chunk in any::<u32>(),
         flip_byte in any::<usize>(),
         flip_bit in 0u8..8,
+        splice_chunk in any::<u32>(),
     ) {
-        prop_assume!(nonce != other_nonce);
-        let stream = ChunkStream::new(nonce, chunk_size, payload.clone());
-        let mut asm = ChunkAssembler::new(
-            nonce,
-            chunk_size,
-            stream.total_len(),
-            stream.digest(),
-        ).unwrap();
+        use mig_core::library::bulk::verify_root;
+        let gens = tamper_generations();
+        let (genuine, other) = (&gens[0], &gens[1]);
+        let root = common::root_of(genuine);
+        let stream = ChunkStream::new(nonce, chunk_size, genuine.clone());
+        let foreign = ChunkStream::new(nonce, chunk_size, other.clone());
+        let n = stream.n_chunks();
+        let reassemble = |pick: &dyn Fn(u32) -> Vec<u8>| {
+            let mut asm = ChunkAssembler::new(chunk_size, stream.total_len()).unwrap();
+            for idx in 0..n {
+                asm.accept(idx, &pick(idx)).unwrap();
+            }
+            asm.finish().unwrap()
+        };
 
-        // Tampered payload at chunk 0 is rejected.
-        let (chunk0, mac0) = stream.chunk(0);
-        let mut evil = chunk0.to_vec();
-        let i = flip_byte % evil.len();
-        evil[i] ^= 1 << flip_bit;
-        prop_assert!(asm.accept(0, &evil, &mac0).is_err());
+        // A bit flip anywhere in any chunk fails the root.
+        let at = flip_chunk % n;
+        let flipped = reassemble(&|idx| {
+            let mut chunk = stream.chunk(idx).to_vec();
+            if idx == at {
+                let i = flip_byte % chunk.len();
+                chunk[i] ^= 1 << flip_bit;
+            }
+            chunk
+        });
+        prop_assert!(verify_root(&flipped, &root).is_err());
 
-        // A chunk from a different transfer nonce is rejected (splice).
-        let foreign = ChunkStream::new(other_nonce, chunk_size, payload.clone());
-        let (f0, fmac0) = foreign.chunk(0);
-        prop_assert!(asm.accept(0, f0, &fmac0).is_err());
-
-        // The genuine chunk still goes through afterwards: failed
-        // attempts do not poison the assembler.
-        asm.accept(0, chunk0, &mac0).unwrap();
-
-        // Replay of chunk 0 (right position, already consumed) and a
-        // skip ahead are both rejected.
-        prop_assert!(asm.accept(0, chunk0, &mac0).is_err());
-        if stream.n_chunks() > 2 {
-            let (c2, m2) = stream.chunk(2);
-            prop_assert!(asm.accept(2, c2, &m2).is_err());
+        // A chunk from another transfer at the same index fails the
+        // root unless it is byte-identical there.
+        let at = splice_chunk % n;
+        if foreign.chunk(at) != stream.chunk(at) {
+            let spliced = reassemble(&|idx| {
+                if idx == at { foreign.chunk(idx) } else { stream.chunk(idx) }.to_vec()
+            });
+            prop_assert!(verify_root(&spliced, &root).is_err());
         }
+
+        // Replays and skips are refused on arrival; the genuine stream
+        // still goes through afterwards and releases.
+        let mut asm = ChunkAssembler::new(chunk_size, stream.total_len()).unwrap();
+        asm.accept(0, stream.chunk(0)).unwrap();
+        prop_assert!(asm.accept(0, stream.chunk(0)).is_err());
+        if n > 2 {
+            prop_assert!(asm.accept(2, stream.chunk(2)).is_err());
+        }
+        for idx in 1..n {
+            asm.accept(idx, stream.chunk(idx)).unwrap();
+        }
+        let out = asm.finish().unwrap();
+        prop_assert!(verify_root(&out, &root).is_ok());
+        prop_assert_eq!(&out, genuine);
     }
 }
 
@@ -388,10 +412,7 @@ proptest! {
             nonce[0] = i as u8;
             nonce[1] = payload_seed;
             let stream = ChunkStream::new(nonce, chunk_size, payload.clone());
-            assemblers.push(
-                ChunkAssembler::new(nonce, chunk_size, stream.total_len(), stream.digest())
-                    .unwrap(),
-            );
+            assemblers.push(ChunkAssembler::new(chunk_size, stream.total_len()).unwrap());
             nonces.push(nonce);
             streams.push(stream);
         }
@@ -416,8 +437,7 @@ proptest! {
                 assert_eq!(assemblers[i].next_idx(), idx, "resume keeps the offset");
                 *crashed = true;
             }
-            let (chunk, mac) = streams[i].chunk(idx);
-            assemblers[i].accept(idx, chunk, &mac).unwrap();
+            assemblers[i].accept(idx, streams[i].chunk(idx)).unwrap();
             true
         };
         for pick in &schedule {
@@ -449,7 +469,7 @@ proptest! {
     /// Delta-checkpoint correctness: for any base state, any dirty-byte
     /// pattern, and any growth/shrink of the state,
     /// `apply(restore(g), delta_since(g)) == restore(latest)` — and the
-    /// delta payload survives the HMAC-chained chunker unchanged.
+    /// delta payload survives the chunker unchanged.
     #[test]
     fn delta_checkpoints_reconstruct_latest(
         base in proptest::collection::vec(any::<u8>(), 1..40_000),
@@ -488,15 +508,9 @@ proptest! {
 
         // The packed dirty pages stream through the chunker verbatim.
         let stream = ChunkStream::new(nonce, chunk_size, payload.clone());
-        let mut asm = ChunkAssembler::new(
-            nonce,
-            chunk_size,
-            stream.total_len(),
-            stream.digest(),
-        ).unwrap();
+        let mut asm = ChunkAssembler::new(chunk_size, stream.total_len()).unwrap();
         for idx in 0..stream.n_chunks() {
-            let (chunk, mac) = stream.chunk(idx);
-            asm.accept(idx, chunk, &mac).unwrap();
+            asm.accept(idx, stream.chunk(idx)).unwrap();
         }
         prop_assert_eq!(asm.finish().unwrap(), payload);
 
@@ -673,5 +687,182 @@ proptest! {
         prop_assert!(load(&mutated).is_err());
         prop_assert!(load(&arbitrary).is_err());
         prop_assert!(load(&f.container).is_ok());
+    }
+}
+
+// -----------------------------------------------------------------------
+// Totality of the relay inputs: the container beside Table I
+// -----------------------------------------------------------------------
+
+mod relay_inputs {
+    use cloud_sim::machine::MachineLabels;
+    use cloud_sim::network::{Envelope, TapAction};
+    use mig_apps::kvstore::{self, ops as kv, KvStore};
+    use mig_core::datacenter::Datacenter;
+    use mig_core::host::tags;
+    use mig_core::library::InitRequest;
+    use mig_core::policy::MigrationPolicy;
+    use parking_lot::Mutex;
+    use sgx_sim::machine::MachineId;
+    use sgx_sim::measurement::{EnclaveImage, EnclaveSigner, MrEnclave};
+    use sgx_sim::wire::WireReader;
+    use std::sync::Arc;
+
+    /// A datacenter in which app `a`'s genuine `LIB_MSG` relay frame and
+    /// app `b-dst`'s genuine `ME_FORWARD` relay frame were captured and
+    /// dropped: the source ME and the destination library still expect
+    /// exactly those messages next.
+    pub struct Captured {
+        pub dc: Datacenter,
+        pub me_machine: MachineId,
+        pub mr_a: MrEnclave,
+        pub lib_msg: Vec<u8>,
+        pub forward: Vec<u8>,
+    }
+
+    fn image(tag: u8) -> EnclaveImage {
+        EnclaveImage::build("prop-relay", 1, &[tag], &EnclaveSigner::from_seed([33; 32]))
+    }
+
+    pub fn capture(seed: u64) -> Captured {
+        let mut dc = Datacenter::new(seed);
+        let policy = MigrationPolicy::same_operator_only();
+        let m1 = dc.add_machine(MachineLabels::default(), &policy);
+        let m2 = dc.add_machine(MachineLabels::default(), &policy);
+        for (app, tag) in [("a", 1u8), ("b", 2)] {
+            dc.deploy_app(app, m1, &image(tag), KvStore::new(), InitRequest::New)
+                .unwrap();
+            dc.call_app(app, kv::INIT, &[]).unwrap();
+            dc.call_app(app, kv::BULK_PUT, &kvstore::encode_bulk_put(12, 900, tag))
+                .unwrap();
+        }
+        dc.deploy_app("b-dst", m2, &image(2), KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+        let captured: Arc<Mutex<(Vec<u8>, Vec<u8>)>> = Arc::default();
+        let tap = Arc::clone(&captured);
+        dc.world_mut()
+            .network_mut()
+            .add_tap(Box::new(move |e: &Envelope| {
+                let mut r = WireReader::new(&e.payload);
+                let tag = r.u8().unwrap();
+                let body = r.bytes_vec().unwrap();
+                let mut slot = tap.lock();
+                if tag == tags::LIB_MSG && e.from.service == "app:a" && slot.0.is_empty() {
+                    slot.0 = body;
+                    return TapAction::Drop;
+                }
+                if tag == tags::ME_FORWARD && e.to.service == "app:b-dst" && slot.1.is_empty() {
+                    slot.1 = body;
+                    return TapAction::Drop;
+                }
+                TapAction::Deliver
+            }));
+        for app in ["a", "b"] {
+            let host = dc.app(app);
+            host.lock()
+                .migrate_to(dc.world_mut().network_mut(), m2)
+                .unwrap();
+        }
+        dc.run();
+        let (lib_msg, forward) = std::mem::take(&mut *captured.lock());
+        assert!(
+            !lib_msg.is_empty() && !forward.is_empty(),
+            "both relays captured"
+        );
+        let mr_a = dc.app("a").lock().enclave().identity().mr_enclave;
+        Captured {
+            dc,
+            me_machine: m1,
+            mr_a,
+            lib_msg,
+            forward,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The source ME's `LIB_MSG` input — measurement, sealed request and
+    /// the container relayed beside it — refuses every mutated or
+    /// arbitrary relay frame without panicking, and keeps nothing.
+    #[test]
+    fn lib_msg_input_with_trailing_container_is_total(
+        seed in 0u64..3,
+        kind in any::<u8>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        use mig_core::me::ops as me_ops;
+        let c = relay_inputs::capture(seed);
+        let me = c.dc.me_host(c.me_machine);
+        let ecall = |relay: &[u8]| {
+            let mut input = c.mr_a.0.to_vec();
+            input.extend_from_slice(relay);
+            me.lock().enclave().ecall(me_ops::LIB_MSG, &input)
+        };
+        prop_assert!(ecall(&arbitrary).is_err());
+        let mutated = bulk_decoders::mutate(&c.lib_msg, kind, pos, xor, &junk);
+        let _ = mig_core::msgs::decode_relay(&arbitrary);
+        prop_assert!(ecall(&mutated).is_err());
+        prop_assert_eq!(me.lock().stream_progress(c.mr_a).unwrap(), None);
+    }
+
+    /// The destination library's `ME_CT` input — sealed
+    /// `IncomingMigration` plus the relayed container — never yields a
+    /// library serving state from bytes it did not seal: a mutated or
+    /// arbitrary frame is refused at install, or the container it staged
+    /// fails to load. Nothing panics.
+    #[test]
+    fn me_ct_input_with_trailing_container_is_total(
+        seed in 0u64..3,
+        kind in any::<u8>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        use mig_core::harness::{open_envelope, ops as lib_ops};
+        use sgx_sim::wire::WireReader;
+        let c = relay_inputs::capture(seed);
+        let host = c.dc.app("b-dst");
+        let enclave = host.lock().enclave().clone();
+        prop_assert!(enclave.ecall(lib_ops::ME_CT, &arbitrary).is_err());
+        let mutated = bulk_decoders::mutate(&c.forward, kind, pos, xor, &junk);
+        if enclave.ecall(lib_ops::ME_CT, &mutated).is_ok() {
+            let (bulk, _) = open_envelope(&enclave.ecall(lib_ops::BULK_STATE, &[]).unwrap()).unwrap();
+            let mut r = WireReader::new(&bulk);
+            prop_assert_eq!(r.u8().unwrap(), 1);
+            let staged = r.bytes_vec().unwrap();
+            prop_assert!(enclave.ecall(mig_apps::kvstore::ops::LOAD, &staged).is_err());
+        }
+    }
+
+    /// `verify_root` refuses every mutated or arbitrary container against
+    /// the genuine root, and arbitrary bytes against their own claimed
+    /// root, without panicking; the genuine container passes.
+    #[test]
+    fn verify_root_is_total(
+        seed in 0u64..4,
+        kind in any::<u8>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        use mig_core::library::bulk::{verify_relayed, verify_root};
+        let f = bulk_decoders::fixture(seed);
+        let root = common::root_of(&f.container);
+        prop_assert!(verify_root(&f.container, &root).is_ok());
+        let mutated = bulk_decoders::mutate(&f.container, kind, pos, xor, &junk);
+        prop_assert!(verify_root(&mutated, &root).is_err());
+        prop_assert!(verify_root(&arbitrary, &root).is_err());
+        prop_assert!(verify_relayed(&arbitrary, None).is_err() || arbitrary.is_empty());
+        if let Ok(layout) = mig_core::library::bulk::Layout::parse(&arbitrary) {
+            let claimed = mig_crypto::sha256::sha256(&arbitrary[layout.index]);
+            let _ = verify_root(&arbitrary, &claimed);
+        }
     }
 }

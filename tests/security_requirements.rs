@@ -667,3 +667,274 @@ fn r4_sealed_header_size_is_independent_of_state_size() {
     assert!(big_container.len() > 60 * small_container.len());
     assert_eq!(small_header.len(), big_header.len());
 }
+
+// =======================================================================
+// R2/R4 — the container relayed beside Table I is bound to its root
+// =======================================================================
+
+/// A host→host frame: wire tag plus body.
+fn unframe(payload: &[u8]) -> (u8, Vec<u8>) {
+    let mut r = WireReader::new(payload);
+    let tag = r.u8().unwrap();
+    let body = r.bytes_vec().unwrap();
+    r.finish().unwrap();
+    (tag, body)
+}
+
+fn reframe(tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(tag).bytes(body);
+    w.finish()
+}
+
+/// Installs a tap that rewrites the bulk container of every relay frame
+/// with wire tag `tag` addressed to `to` (service name), keeping the
+/// sealed message. Returns the count of ME↔ME frames seen.
+fn swap_relayed_container(
+    dc: &mut Datacenter,
+    tag: u8,
+    to: &'static str,
+    swap: impl Fn(&[u8]) -> Vec<u8> + Send + 'static,
+) -> std::sync::Arc<std::sync::atomic::AtomicUsize> {
+    use cloud_sim::network::{Envelope, TapAction};
+    use mig_core::msgs::{decode_relay, encode_relay};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let me_me = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&me_me);
+    dc.world_mut()
+        .network_mut()
+        .add_tap(Box::new(move |e: &Envelope| {
+            if e.from.service == "me" && e.to.service == "me" {
+                seen.fetch_add(1, Ordering::SeqCst);
+            }
+            let (frame_tag, body) = unframe(&e.payload);
+            if frame_tag != tag || e.to.service != to {
+                return TapAction::Deliver;
+            }
+            let (ct, container) = decode_relay(&body).unwrap();
+            if container.is_empty() {
+                return TapAction::Deliver;
+            }
+            let relay = encode_relay(ct, &swap(container));
+            TapAction::Replace(reframe(frame_tag, &relay))
+        }));
+    me_me
+}
+
+/// Overwrites segment `i` of `container` with the same segment of
+/// `donor` (same length: both from one store, one entry rewritten).
+fn splice_segment(container: &[u8], donor: &[u8], i: usize) -> Vec<u8> {
+    let (to, from) = (
+        Layout::parse(container).unwrap().segments[i].clone(),
+        Layout::parse(donor).unwrap().segments[i].clone(),
+    );
+    assert_eq!(to.len(), from.len());
+    let mut out = container.to_vec();
+    out[to].copy_from_slice(&donor[from]);
+    out
+}
+
+/// The source host relays a container the library's sealed request does
+/// not name next to a genuine `MIG_START` request: an older container
+/// of the same enclave, or the current one with one segment byte
+/// flipped. The source ME refuses it on arrival, nothing reaches the
+/// destination, and the supervised run aborts with the source
+/// authoritative — its durable record still holds the genuine container.
+#[test]
+fn r4_source_me_refuses_a_relayed_container_the_request_does_not_name() {
+    use mig_core::host::{tags, AppStatus};
+    use mig_core::supervisor::{MigrationOutcome, MigrationSupervisor};
+    use std::sync::atomic::Ordering;
+
+    for (seed, older) in [(218u64, true), (219, false)] {
+        let (mut dc, m1, m2) = dc_with_two_machines(seed);
+        kv_with_bulk(&mut dc, "src", m1, 64, 1024);
+        let old = staged(&mut dc, "src");
+        put(&mut dc, "src", b"bulk-00000010", &[7; 1024]);
+        let genuine = staged(&mut dc, "src");
+        dc.deploy_app("dst", m2, &kv_image(), KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+
+        let me_me = swap_relayed_container(&mut dc, tags::LIB_MSG, "me", move |c| {
+            if older {
+                old.clone()
+            } else {
+                let mut flipped = c.to_vec();
+                let span = Layout::parse(c).unwrap().segments[3].clone();
+                flipped[span.start + 100] ^= 0x01;
+                flipped
+            }
+        });
+        let outcomes =
+            MigrationSupervisor::default().run(&mut dc, &[("src", "dst")], |_| Vec::new());
+        assert!(
+            matches!(outcomes[0], MigrationOutcome::Aborted { .. }),
+            "older={older}: {:?}",
+            outcomes[0]
+        );
+        assert_eq!(
+            me_me.load(Ordering::SeqCst),
+            0,
+            "nothing left the source ME"
+        );
+        assert_ne!(dc.app("dst").lock().status(), AppStatus::Ready);
+        let errors = dc.me_host(m1).lock().errors.clone();
+        assert!(
+            errors.iter().any(|e| e.starts_with("lib msg")),
+            "the LIB_MSG ECALL failed: {errors:?}"
+        );
+        let mr = dc.app("src").lock().enclave().identity().mr_enclave;
+        assert_eq!(dc.me_host(m1).lock().stream_progress(mr).unwrap(), None);
+        // Source authoritative: the frozen record on its disk still pairs
+        // the header with the genuine container.
+        let record = record(&dc, m1, "src");
+        assert_eq!(split_persist_record(&record).unwrap().1, &genuine[..]);
+    }
+}
+
+/// The destination host swaps the container on the `ME_FORWARD` relay.
+/// A foreign index (another generation of the same store) is refused at
+/// install (`BulkMismatch`), and the library stays unmigrated; a segment
+/// swapped in under the genuine index passes the index-only install but
+/// `LOAD` refuses it (`MacMismatch`).
+#[test]
+fn r2_destination_host_container_swap_is_refused_at_install_or_load() {
+    use mig_core::host::{tags, AppStatus};
+
+    for (seed, foreign_index) in [(220u64, true), (221, false)] {
+        let (mut dc, m1, m2) = dc_with_two_machines(seed);
+        kv_with_bulk(&mut dc, "src", m1, 64, 1024);
+        let old = staged(&mut dc, "src");
+        put(&mut dc, "src", b"bulk-00000010", &[7; 1024]);
+        dc.deploy_app("dst", m2, &kv_image(), KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+        let donor = old.clone();
+        swap_relayed_container(&mut dc, tags::ME_FORWARD, "app:dst", move |c| {
+            if foreign_index {
+                donor.clone()
+            } else {
+                splice_segment(c, &donor, 2)
+            }
+        });
+        let result = dc.migrate_app("src", "dst");
+        let dst = dc.app("dst");
+        if foreign_index {
+            assert!(result.is_err());
+            assert_eq!(dst.lock().status(), AppStatus::Failed);
+            let errors = dst.lock().errors.clone();
+            assert!(
+                errors
+                    .iter()
+                    .any(|e| e.contains("bulk container does not match")),
+                "{errors:?}"
+            );
+            drop(dst);
+            let phase = dc
+                .call_app("dst", mig_core::harness::ops::PHASE, &[])
+                .unwrap();
+            assert_eq!(phase, [2], "still awaiting its migration");
+        } else {
+            assert_eq!(dst.lock().status(), AppStatus::Ready);
+            drop(dst);
+            let installed = staged(&mut dc, "dst");
+            let err = dc.call_app("dst", kv::LOAD, &installed).unwrap_err();
+            assert_eq!(err, SgxError::MacMismatch);
+        }
+    }
+}
+
+/// No plaintext on the wire: a 32-byte sentinel stored in the kvstore
+/// appears in no frame, on any service, during a full-stream 1 MiB
+/// migration and a delta hop back.
+#[test]
+fn r1_no_plaintext_on_the_wire_full_stream_or_delta() {
+    let sentinel: [u8; 32] = *b"sentinel: must never be on wire!";
+    let contains = |frames: &[cloud_sim::network::Envelope]| {
+        frames
+            .iter()
+            .any(|e| e.payload.windows(32).any(|w| w == sentinel))
+    };
+    let (mut dc, m1, m2) = dc_with_two_machines(222);
+    kv_with_bulk(&mut dc, "src", m1, 256, 4096); // 1 MiB, streamed
+    put(&mut dc, "src", b"sentinel", &sentinel);
+    dc.deploy_app("dst", m2, &kv_image(), KvStore::new(), InitRequest::Migrate)
+        .unwrap();
+    dc.world_mut().network_mut().start_recording();
+    dc.migrate_app("src", "dst").unwrap();
+    let full = dc.world_mut().network_mut().stop_recording();
+    assert!(full.len() > 8, "a streamed migration");
+    assert!(!contains(&full), "sentinel leaked on the full stream");
+
+    // A delta hop back: a few entries dirtied, the sentinel untouched.
+    let state = staged(&mut dc, "dst");
+    dc.call_app("dst", kv::LOAD, &state).unwrap();
+    put(&mut dc, "dst", b"bulk-00000003", &[3; 4096]);
+    dc.deploy_app(
+        "back",
+        m1,
+        &kv_image(),
+        KvStore::new(),
+        InitRequest::Migrate,
+    )
+    .unwrap();
+    dc.world_mut().network_mut().start_recording();
+    dc.migrate_app("dst", "back").unwrap();
+    let delta = dc.world_mut().network_mut().stop_recording();
+    let me_me: u64 = delta
+        .iter()
+        .filter(|e| e.from.service == "me" && e.to.service == "me")
+        .map(|e| e.payload.len() as u64)
+        .sum();
+    assert!(
+        me_me * 4 < state.len() as u64,
+        "the hop shipped a delta ({me_me} ME-ME bytes for {} state bytes)",
+        state.len()
+    );
+    assert!(!contains(&delta), "sentinel leaked on the delta hop");
+
+    // The sentinel did arrive, inside the sealed state.
+    let state = staged(&mut dc, "back");
+    dc.call_app("back", kv::LOAD, &state).unwrap();
+    assert_eq!(dc.call_app("back", kv::GET, b"sentinel").unwrap(), sentinel);
+}
+
+/// The sealed channel messages that carry the migration — the library's
+/// `MigrateRequest` and the ME's `IncomingMigration` — have the same
+/// length at 64 KiB and at 4 MiB of state: they carry Table I and the
+/// root, and the container rides beside them.
+#[test]
+fn r4_sealed_migration_messages_are_independent_of_state_size() {
+    use mig_core::host::tags;
+    use mig_core::msgs::decode_relay;
+
+    let mut lengths = Vec::new();
+    for (seed, count) in [(223u64, 16u32), (224, 1024)] {
+        let (mut dc, m1, m2) = dc_with_two_machines(seed);
+        kv_with_bulk(&mut dc, "src", m1, count, 4096);
+        let container_len = staged(&mut dc, "src").len();
+        dc.deploy_app("dst", m2, &kv_image(), KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+        dc.world_mut().network_mut().start_recording();
+        dc.migrate_app("src", "dst").unwrap();
+        let frames = dc.world_mut().network_mut().stop_recording();
+        let sealed_len = |tag: u8, from: &str, to: &str| -> usize {
+            let e = frames
+                .iter()
+                .find(|e| {
+                    e.from.service == from && e.to.service == to && unframe(&e.payload).0 == tag
+                })
+                .expect("relay frame");
+            let (_, body) = unframe(&e.payload);
+            let (ct, container) = decode_relay(&body).unwrap();
+            assert_eq!(container.len(), container_len, "the container rides beside");
+            ct.len()
+        };
+        lengths.push((
+            sealed_len(tags::LIB_MSG, "app:src", "me"),
+            sealed_len(tags::ME_FORWARD, "me", "app:dst"),
+        ));
+    }
+    assert_eq!(lengths[0], lengths[1]);
+}

@@ -1,7 +1,8 @@
 //! End-to-end coverage of destination-side **speculative restore**
-//! (`TransferConfig::speculative_restore`): the staged-prefix path and
-//! the legacy unseal-after-complete path must release bit-identical
-//! state for both full and dirty-page delta streams, and the
+//! (`TransferConfig::speculative_restore`): with it on and off, the
+//! destination must release bit-identical state for both full and
+//! dirty-page delta streams (the knob only changes how a delta is
+//! staged), and the
 //! destination host's release-latency telemetry must be populated by
 //! the final-chunk ECALL.
 
