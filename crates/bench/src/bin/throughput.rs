@@ -24,10 +24,13 @@
 //! their slot in the schedule.
 //!
 //! The batched arm ships `batch_size` sealed cells per `TRANSFER_BATCH`
-//! ECALL and seals and opens cells on `seal_lanes` worker lanes, so
-//! enclave transitions per migration drop from ~2×chunks towards
-//! ~2×⌈chunks/batch⌉ and the AES-GCM cost (the wall-clock bottleneck)
-//! is spread across cores. Results land in `BENCH_throughput.json`
+//! ECALL, seals and opens cells on `seal_lanes` worker lanes and hashes
+//! the container's segments on the same lanes at both root checks
+//! (source on `LIB_MSG`, destination at release), so enclave
+//! transitions per migration drop from ~2×chunks towards
+//! ~2×⌈chunks/batch⌉ and the AES-GCM and SHA-256 cost (the wall-clock
+//! bottleneck) is spread across cores. On a single core both arms do
+//! the same crypto and only the transition count differs. Results land in `BENCH_throughput.json`
 //! (override with `THROUGHPUT_JSON_PATH`). With `THROUGHPUT_ASSERT=1`
 //! the run exits nonzero unless the batched arm's trace-attributed
 //! ECALLs stay under 0.25 × chunks **and** the batched arm is at least

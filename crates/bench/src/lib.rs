@@ -410,10 +410,28 @@ pub fn delta_migration_cycle(
     value_len: u32,
     dirty_entries: u32,
 ) -> DeltaCell {
+    let (_, _, cell) = delta_hop(
+        seed,
+        sweep_stream_config(),
+        entries,
+        value_len,
+        dirty_entries,
+    );
+    cell
+}
+
+/// [`delta_migration_cycle`] under `transfer`, also returning the
+/// datacenter and the machine (m1) the repeat migration landed on.
+fn delta_hop(
+    seed: u64,
+    transfer: mig_core::transfer::TransferConfig,
+    entries: u32,
+    value_len: u32,
+    dirty_entries: u32,
+) -> (Datacenter, MachineId, DeltaCell) {
     use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
     use std::sync::atomic::Ordering;
 
-    let transfer = sweep_stream_config();
     let mut dc = Datacenter::new(seed);
     let policy = MigrationPolicy::same_operator_only();
     let m1 = dc.add_machine_with_transfer(MachineLabels::new("dc-1", "eu"), &policy, transfer);
@@ -458,12 +476,13 @@ pub fn delta_migration_cycle(
     back_bytes.store(0, Ordering::SeqCst);
     let delta_virt = dc.migrate_app("dst", "back").expect("delta migration");
 
-    DeltaCell {
+    let cell = DeltaCell {
         full_virt_ms: full_virt.as_secs_f64() * 1e3,
         delta_virt_ms: delta_virt.as_secs_f64() * 1e3,
         full_bytes: fwd_bytes.load(Ordering::SeqCst),
         delta_bytes: back_bytes.load(Ordering::SeqCst),
-    }
+    };
+    (dc, m1, cell)
 }
 
 /// One cell of the E4 concurrency series: `k` enclaves of equal state
@@ -589,42 +608,32 @@ pub fn concurrent_migration_cell(
     }
 }
 
-/// One cell of the E4 speculative-restore series: the same streamed
-/// migration measured with destination-side speculative restore on and
-/// off. `release_ms` is the destination ME host's wall-clock duration
-/// of the TRANSFER ECALL that completed the stream and released the
-/// payload — everything serialized between the final chunk's arrival
-/// and the state leaving the enclave. Speculation only moves a delta's
-/// base staging and page overlay off that path; a full stream's release
-/// is the same root check either way, so for full streams the two cells
-/// should match.
-#[derive(Clone, Copy, Debug)]
-pub struct SpeculativeCell {
-    /// Time-to-release with speculative restore, in ms.
-    pub speculative_release_ms: f64,
-    /// Time-to-release with speculative restore off (delta applied
-    /// after the last chunk), in ms.
-    pub unseal_release_ms: f64,
-}
-
-/// Runs one streamed migration of `entries` × `value_len` bytes and
-/// returns the destination's time-to-release (ms), with speculative
-/// restore on or off.
+/// Runs one E4 speculative-restore cell: a [`delta_migration_cycle`]
+/// with 1 % of the entries dirtied, speculative restore on or off, and
+/// returns the time-to-release (ms) of the repeat (delta) migration: the
+/// wall-clock duration of the destination ME's ECALL that completed the
+/// stream and released the container. Speculative restore stages the
+/// retained base at `DeltaStart` and overlays pages as chunks arrive;
+/// off, the whole delta is applied inside that final ECALL. Either way
+/// the release checks the same root.
 ///
 /// # Panics
 ///
-/// Panics on fixture failures (bench invariants).
+/// Panics on fixture failures (bench invariants), or when the repeat
+/// migration did not take the delta path.
 #[must_use]
 pub fn release_latency_cell(seed: u64, entries: u32, value_len: u32, speculative: bool) -> f64 {
     let transfer = mig_core::transfer::TransferConfig {
         speculative_restore: speculative,
         ..sweep_stream_config()
     };
-    let mut dc = prepared_kv_datacenter(seed, transfer, entries, value_len);
-    dc.migrate_app("src", "dst").expect("migrate");
-    let dst_machine = dc.app_machine("dst");
+    let (dc, m1, cell) = delta_hop(seed, transfer, entries, value_len, (entries / 100).max(1));
+    assert!(
+        cell.delta_bytes < cell.full_bytes / 4,
+        "the repeat migration fell back to a full stream"
+    );
     let latency = dc
-        .me_host(dst_machine)
+        .me_host(m1)
         .lock()
         .release_latency()
         .expect("a transfer completed at the destination");

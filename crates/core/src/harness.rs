@@ -34,7 +34,7 @@ pub mod ops {
     pub const ME_MSG3: u32 = 0x1002;
     /// `migration_start` (Listing 1).
     pub const MIG_START: u32 = 0x1003;
-    /// ME→library relay frame in (`crate::msgs::encode_relay`: the
+    /// ME→library relay frame in (`crate::msgs::write_relay`: the
     /// sealed message plus the bulk container the host relays beside
     /// it); optional encrypted reply out.
     pub const ME_CT: u32 = 0x1004;

@@ -110,7 +110,7 @@ pub mod tags {
     /// ME → app: DH Msg3.
     pub const LA_MSG3: u8 = 4;
     /// App → ME: encrypted library message, with the bulk container
-    /// relayed beside it ([`crate::msgs::encode_relay`]).
+    /// relayed beside it ([`crate::msgs::write_relay`]).
     pub const LIB_MSG: u8 = 5;
     /// ME → app: encrypted ME message (incoming migration / completion),
     /// with the bulk container relayed beside it.
@@ -147,7 +147,7 @@ fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     w.finish()
 }
 
-/// A relay frame (see [`crate::msgs::encode_relay`]) under `tag`, built
+/// A relay frame (see [`crate::msgs::write_relay`]) under `tag`, built
 /// in one allocation: the bulk container is copied once, into the frame.
 fn relay_frame(tag: u8, ciphertext: &[u8], container: &[u8]) -> Vec<u8> {
     let mut w = WireWriter::with_capacity(13 + ciphertext.len() + container.len());
@@ -209,7 +209,8 @@ pub struct MeHost {
     /// Wall-clock duration of the last `TRANSFER` ECALL that *released*
     /// incoming migration data (forwarded or parked it) — the real
     /// compute cost of the release, which the speculative-restore
-    /// benchmark compares against unseal-after-complete. Deliberately
+    /// benchmark compares against applying a delta after its last
+    /// chunk. Deliberately
     /// wall-clock and therefore excluded from the deterministic trace
     /// export; the virtual-time quantity lives in the
     /// `me.time_to_release_ns` histogram.

@@ -40,6 +40,7 @@
 //! container on arrival and before release.
 
 use crate::error::MigError;
+use mig_crypto::ct::ct_eq;
 use mig_crypto::gcm::AesGcm;
 use mig_crypto::sha256::sha256;
 use sgx_sim::enclave::EnclaveEnv;
@@ -189,45 +190,58 @@ fn open_index(aead: &AesGcm, bytes: &[u8], layout: &Layout) -> Result<Vec<[u8; 3
     index_entries(plain, layout)
 }
 
+/// Decodes the layout of `bytes` and checks that its sealed index is
+/// the one `root` names.
+fn check_index(bytes: &[u8], root: &[u8; 32]) -> Result<Layout, MigError> {
+    let layout = Layout::parse(bytes)?;
+    if !ct_eq(&sha256(slice(bytes, layout.index.clone())?), root) {
+        return Err(MigError::BulkMismatch);
+    }
+    Ok(layout)
+}
+
 /// Checks that `bytes` is exactly the container `root` names: the
 /// framing decodes, `SHA-256(sealed index) == root`, and every sealed
 /// segment hashes to its index entry. Needs no key — the index entries
 /// are authenticated by the root itself — so a Migration Enclave can
 /// check a relayed container it cannot open. Given collision-resistant
 /// hashing, a container that passes is byte-identical to the one the
-/// library staged under `root`.
+/// library staged under `root`. The segment hashes fan out over up to
+/// `lanes` worker threads ([`mig_crypto::sha256::sha256_each`]); the
+/// verdict does not depend on the lane count.
 ///
 /// # Errors
 ///
 /// [`SgxError::Decode`] for malformed framing; [`MigError::BulkMismatch`]
 /// when the index is not the one `root` names;
 /// [`SgxError::MacMismatch`] when a segment differs from its entry.
-pub fn verify_root(bytes: &[u8], root: &[u8; 32]) -> Result<(), MigError> {
-    let layout = Layout::parse(bytes)?;
-    if !mig_crypto::ct::ct_eq(&sha256(slice(bytes, layout.index.clone())?), root) {
-        return Err(MigError::BulkMismatch);
-    }
+pub fn verify_root(bytes: &[u8], root: &[u8; 32], lanes: u32) -> Result<(), MigError> {
+    let layout = check_index(bytes, root)?;
     let (_, plain) = index_parts(bytes, &layout)?;
     let hashes = index_entries(plain, &layout)?;
-    for (span, hash) in layout.segments.iter().zip(&hashes) {
-        if !mig_crypto::ct::ct_eq(&sha256(slice(bytes, span.clone())?), hash) {
-            return Err(MigError::Sgx(SgxError::MacMismatch));
-        }
+    let segments = layout
+        .segments
+        .iter()
+        .map(|span| slice(bytes, span.clone()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let actual = mig_crypto::sha256::sha256_each(&segments, lanes);
+    if actual.len() != hashes.len() || !actual.iter().zip(&hashes).all(|(a, h)| ct_eq(a, h)) {
+        return Err(MigError::Sgx(SgxError::MacMismatch));
     }
     Ok(())
 }
 
 /// Checks a relayed bulk payload against the root its sealed message
 /// carried: `None` admits only an empty payload, `Some` runs
-/// [`verify_root`].
+/// [`verify_root`] on `lanes` hash lanes.
 ///
 /// # Errors
 ///
 /// [`MigError::BulkMismatch`] for bytes without a root; otherwise as
 /// [`verify_root`].
-pub fn verify_relayed(bytes: &[u8], root: Option<&[u8; 32]>) -> Result<(), MigError> {
+pub fn verify_relayed(bytes: &[u8], root: Option<&[u8; 32]>, lanes: u32) -> Result<(), MigError> {
     match root {
-        Some(root) => verify_root(bytes, root),
+        Some(root) => verify_root(bytes, root, lanes),
         None if bytes.is_empty() => Ok(()),
         None => Err(MigError::BulkMismatch),
     }
@@ -254,19 +268,15 @@ impl Container {
         root: Option<&[u8; 32]>,
     ) -> Result<Option<Self>, MigError> {
         let Some(root) = root else {
-            return verify_relayed(bytes, None).map(|()| None);
+            return verify_relayed(bytes, None, 1).map(|()| None);
         };
-        let layout = Layout::parse(bytes)?;
-        let actual = sha256(slice(bytes, layout.index.clone())?);
-        if !mig_crypto::ct::ct_eq(&actual, root) {
-            return Err(MigError::BulkMismatch);
-        }
+        let layout = check_index(bytes, root)?;
         let hashes = open_index(&AesGcm::new(msk), bytes, &layout)?;
         Ok(Some(Container {
             bytes: bytes.to_vec(),
             layout,
             hashes,
-            root: actual,
+            root: *root,
         }))
     }
 
@@ -465,7 +475,7 @@ impl OpenedBulk<'_> {
         let mut plaintext = Vec::with_capacity(layout.segments.len() * SEGMENT_LEN);
         for (i, (span, hash)) in layout.segments.iter().zip(&hashes).enumerate() {
             let item = slice(bytes, span.clone())?;
-            if !mig_crypto::ct::ct_eq(&sha256(item), hash) {
+            if !ct_eq(&sha256(item), hash) {
                 // A segment spliced in from another container.
                 return Err(MigError::Sgx(SgxError::MacMismatch));
             }
@@ -508,18 +518,25 @@ pub(crate) mod tests {
     #[test]
     fn verify_root_accepts_only_the_named_container() {
         let (bytes, root) = test_container(&items(5));
-        verify_root(&bytes, &root).unwrap();
-        verify_relayed(&bytes, Some(&root)).unwrap();
-        verify_relayed(&[], None).unwrap();
+        verify_relayed(&[], None, 1).unwrap();
         assert!(matches!(
-            verify_relayed(&bytes, None),
+            verify_relayed(&bytes, None, 1),
             Err(MigError::BulkMismatch)
         ));
+        // The verdicts are the same on one hash lane and on several.
+        for lanes in [1, 4] {
+            verify_root_verdicts(&bytes, &root, lanes);
+        }
+    }
+
+    fn verify_root_verdicts(bytes: &[u8], root: &[u8; 32], lanes: u32) {
+        verify_root(bytes, root, lanes).unwrap();
+        verify_relayed(bytes, Some(root), lanes).unwrap();
 
         // Another container's root: the index does not match.
         let (other, other_root) = test_container(&items(4));
         assert!(matches!(
-            verify_root(&bytes, &other_root),
+            verify_root(bytes, &other_root, lanes),
             Err(MigError::BulkMismatch)
         ));
         // A segment swapped in from another container under the genuine
@@ -527,22 +544,22 @@ pub(crate) mod tests {
         let mut swapped = items(5);
         swapped[2] = vec![0xEE; 102];
         let (spliced, _) = test_container(&swapped);
-        let layout = Layout::parse(&bytes).unwrap();
-        let mut evil = bytes.clone();
+        let layout = Layout::parse(bytes).unwrap();
+        let mut evil = bytes.to_vec();
         let span = layout.segments[2].clone();
         let spliced_layout = Layout::parse(&spliced).unwrap();
         evil[span].copy_from_slice(&spliced[spliced_layout.segments[2].clone()]);
         assert!(matches!(
-            verify_root(&evil, &root),
+            verify_root(&evil, root, lanes),
             Err(MigError::Sgx(SgxError::MacMismatch))
         ));
         // Every single-byte flip anywhere is refused, never a panic.
         for i in 0..bytes.len() {
-            let mut flipped = bytes.clone();
+            let mut flipped = bytes.to_vec();
             flipped[i] ^= 0x40;
-            assert!(verify_root(&flipped, &root).is_err(), "flip at {i}");
+            assert!(verify_root(&flipped, root, lanes).is_err(), "flip at {i}");
         }
-        assert!(verify_root(&other, &root).is_err());
-        assert!(verify_root(&bytes[..bytes.len() - 1], &root).is_err());
+        assert!(verify_root(&other, root, lanes).is_err());
+        assert!(verify_root(&bytes[..bytes.len() - 1], root, lanes).is_err());
     }
 }

@@ -80,7 +80,7 @@ pub mod ops {
     /// Complete a local attestation (processes Msg2, returns Msg3 + info).
     pub const LA_MSG2: u32 = 4;
     /// Deliver an encrypted library→ME message: the enclave's
-    /// measurement, then a relay frame (`crate::msgs::encode_relay`) of
+    /// measurement, then a relay frame (`crate::msgs::write_relay`) of
     /// the sealed message and the bulk container the host relays beside
     /// it.
     pub const LIB_MSG: u32 = 5;

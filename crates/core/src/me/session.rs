@@ -33,7 +33,7 @@ use crate::library::bulk::{verify_relayed, verify_root};
 use crate::library::state::MigrationData;
 use crate::me::wire::{self, LinkShaper, StreamDemand};
 use crate::me::MigrationEnclave;
-use crate::msgs::{decode_relay, encode_relay, write_relay, LibToMe, MeToLib, MeToMe};
+use crate::msgs::{decode_relay, write_relay, LibToMe, MeToLib, MeToMe};
 use crate::secure_channel::SecureChannel;
 use crate::transfer::chunker::{chunk_count, trace_id, ChunkAssembler, ChunkStream, TransferNonce};
 use crate::transfer::delta::{self, DeltaManifest, PageDigests, StagedApply};
@@ -1121,7 +1121,7 @@ impl ReceiverFsm {
     /// deferred delta is applied onto `base` (validate-before-apply) or
     /// answered [`ReceiverRelease::BaseMissing`] when `base` is `None`,
     /// and the reconstructed container is released only when it matches
-    /// the announced root.
+    /// the announced root, checked on `lanes` hash lanes.
     ///
     /// # Errors
     ///
@@ -1129,7 +1129,7 @@ impl ReceiverFsm {
     /// does not apply; [`verify_root`]'s errors for a container the root
     /// does not name. The partial state is dropped with the consumed
     /// receiver (quarantine).
-    pub fn release(self, base: Option<&[u8]>) -> Result<ReceiverRelease, MigError> {
+    pub fn release(self, base: Option<&[u8]>, lanes: u32) -> Result<ReceiverRelease, MigError> {
         let ReceiverFsm {
             data,
             root,
@@ -1151,7 +1151,7 @@ impl ReceiverFsm {
                 }
             }
         };
-        verify_root(&state, &root)?;
+        verify_root(&state, &root, lanes)?;
         Ok(ReceiverRelease::Released {
             data,
             root,
@@ -1192,7 +1192,8 @@ impl MigrationEnclave {
                 // The container the host relayed must be the one the
                 // library's sealed request names: a swapped, older or
                 // damaged container fails this ECALL and is never kept.
-                verify_relayed(container, root.as_ref())?;
+                let lanes = self.config()?.transfer.seal_lanes;
+                verify_relayed(container, root.as_ref(), lanes)?;
                 self.out_streams.remove(&mr);
                 self.out_manifests.remove(&mr);
                 self.outgoing.insert(
@@ -2012,7 +2013,8 @@ impl MigrationEnclave {
                 .map(|c| Arc::clone(&c.state))
         });
         let used_deferred_base = deferred_base.is_some();
-        let released = match fsm.release(deferred_base.as_deref()) {
+        let lanes = self.config()?.transfer.seal_lanes;
+        let released = match fsm.release(deferred_base.as_deref(), lanes) {
             Ok(released) => released,
             Err(e) => {
                 self.quarantine(nonce);
@@ -2079,7 +2081,8 @@ impl MigrationEnclave {
                 state,
             } => {
                 // The single-shot path's release gate.
-                verify_relayed(&state, root.as_ref())?;
+                let lanes = self.config()?.transfer.seal_lanes;
+                verify_relayed(&state, root.as_ref(), lanes)?;
                 let parked = ParkedIncoming {
                     data,
                     root,
@@ -2285,8 +2288,9 @@ impl MigrationEnclave {
 
     /// Encodes the `ACK` ECALL output: kind, MRENCLAVE, the acked
     /// stream's public trace id (when the ack names a nonce), optional
-    /// completion ciphertext for the local library, and follow-on stream
-    /// frames to send back to the destination.
+    /// completion ciphertext for the local library (written as its relay
+    /// frame), and follow-on stream frames to send back to the
+    /// destination.
     fn ack_output(
         kind: u8,
         mr: MrEnclave,
@@ -2298,7 +2302,14 @@ impl MigrationEnclave {
         w.u8(kind);
         w.array(&mr.0);
         write_opt(&mut w, trace.as_ref().map(<[u8; 8]>::as_slice));
-        write_opt(&mut w, complete);
+        // The completion rides to the library as a relay frame with no
+        // container.
+        match complete {
+            Some(ciphertext) => write_relay(w.u8(1), ciphertext, &[]),
+            None => {
+                w.u8(0);
+            }
+        }
         w.u32(frames.len() as u32);
         for (frame_kind, frame) in frames {
             w.u8(*frame_kind);
@@ -2442,9 +2453,10 @@ impl MigrationEnclave {
                 self.out_streams.remove(&mr_enclave);
                 self.out_manifests.remove(&mr_enclave);
                 // Tell the (frozen) source library, if still attested.
-                let complete = self.local_sessions.get_mut(&mr_enclave).map(|local| {
-                    encode_relay(&local.seal(&MeToLib::MigrationComplete.to_bytes()), &[])
-                });
+                let complete = self
+                    .local_sessions
+                    .get_mut(&mr_enclave)
+                    .map(|local| local.seal(&MeToLib::MigrationComplete.to_bytes()));
                 // The channel is free again: dispatch the next queued
                 // migration for this destination, if any.
                 let next = Self::action_frames(self.dispatch_outgoing(env, destination)?);
@@ -2845,7 +2857,7 @@ mod tests {
         assert!(fsm.delta_manifest().is_none() && fsm.needs_base().is_none());
         drive(&stream, &mut fsm, 0);
         assert!(fsm.is_complete());
-        match fsm.release(None).unwrap() {
+        match fsm.release(None, 1).unwrap() {
             ReceiverRelease::Released {
                 state,
                 root: released,
@@ -2885,7 +2897,7 @@ mod tests {
         assert!(fsm.is_staged() && fsm.needs_base().is_none());
         assert_eq!(fsm.generation(), 5);
         drive(&stream, &mut fsm, 0);
-        match fsm.release(None).unwrap() {
+        match fsm.release(None, 1).unwrap() {
             ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
             ReceiverRelease::BaseMissing => panic!("staged delta captured its base"),
         }
@@ -2896,7 +2908,7 @@ mod tests {
             let mut fsm = start(announce_base, speculative);
             assert!(!fsm.is_staged() && fsm.needs_base().is_some());
             drive(&stream, &mut fsm, 0);
-            match fsm.release(Some(&base)).unwrap() {
+            match fsm.release(Some(&base), 1).unwrap() {
                 ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
                 ReceiverRelease::BaseMissing => panic!("base was supplied"),
             }
@@ -2904,7 +2916,7 @@ mod tests {
         let mut fsm = start(None, true);
         drive(&stream, &mut fsm, 0);
         assert!(matches!(
-            fsm.release(None).unwrap(),
+            fsm.release(None, 1).unwrap(),
             ReceiverRelease::BaseMissing
         ));
     }
@@ -2920,7 +2932,7 @@ mod tests {
         fsm.on_chunk(0, stream.chunk(0)).unwrap();
         fsm.on_chunk(1, &evil).unwrap();
         drive(&stream, &mut fsm, 2);
-        assert!(fsm.release(None).is_err());
+        assert!(fsm.release(None, 1).is_err());
         // A wrong length is refused on arrival (quarantine evidence).
         let mut fsm = full(root, stream.total_len(), 2048);
         let err = fsm.on_chunk(0, &stream.chunk(0)[1..]).unwrap_err();
@@ -2937,7 +2949,7 @@ mod tests {
         // A wrong announced root refuses the genuine container.
         let mut fsm = full([0; 32], stream.total_len(), 2048);
         drive(&stream, &mut fsm, 0);
-        assert!(matches!(fsm.release(None), Err(MigError::BulkMismatch)));
+        assert!(matches!(fsm.release(None, 1), Err(MigError::BulkMismatch)));
     }
 
     #[test]
@@ -2980,7 +2992,7 @@ mod tests {
         assert!(restored.is_staged());
         assert_eq!(restored.next_idx(), 3);
         drive(&stream, &mut restored, 3);
-        match restored.release(None).unwrap() {
+        match restored.release(None, 1).unwrap() {
             ReceiverRelease::Released { state, .. } => assert_eq!(&state[..], &new[..]),
             ReceiverRelease::BaseMissing => panic!("staged"),
         }

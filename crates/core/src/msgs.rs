@@ -15,7 +15,7 @@
 //! [`crate::library::bulk`]). [`LibToMe::MigrateRequest`] and
 //! [`MeToLib::IncomingMigration`] carry only Table I plus the
 //! container's 32-byte root; the untrusted hosts relay the container
-//! itself as a trailing field of the same frame ([`encode_relay`] /
+//! itself as a trailing field of the same frame ([`write_relay`] /
 //! [`decode_relay`]), and the receiving enclave checks it against the
 //! root before keeping it. The ME↔ME messages carry the root next to
 //! Table I in [`MeToMe::Transfer`], [`MeToMe::ChunkStart`] and
@@ -62,20 +62,11 @@ use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
 use sgx_sim::SgxError;
 
-/// Frames a sealed local-channel message with the bulk container the
-/// host relays beside it (empty when none): `[len | ciphertext] ‖
-/// container`. Used on the app↔ME hops (`LIB_MSG` from the app,
+/// Writes the relay frame of a sealed local-channel message and the
+/// bulk container the host relays beside it (empty when none) into `w`
+/// as one length-prefixed byte string. The frame is `[len | ciphertext]
+/// ‖ container`; it travels on the app↔ME hops (`LIB_MSG` from the app,
 /// `ME_FORWARD` to it).
-#[must_use]
-pub fn encode_relay(ciphertext: &[u8], container: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(4 + ciphertext.len() + container.len());
-    w.bytes(ciphertext).raw(container);
-    w.finish()
-}
-
-/// Writes the relay frame of `ciphertext` and `container` into `w` as
-/// one length-prefixed byte string — what `w.bytes(&encode_relay(..))`
-/// writes, without building the frame separately first.
 pub fn write_relay(w: &mut WireWriter, ciphertext: &[u8], container: &[u8]) {
     let len = 4 + ciphertext.len() + container.len();
     w.u32(u32::try_from(len).unwrap_or(u32::MAX))
@@ -132,7 +123,7 @@ pub enum LibToMe {
     /// Start an outgoing migration: transfer `data` and the staged bulk
     /// container named by `root` to `destination` (the `migrate`
     /// message of Fig. 2). The container rides beside the sealed
-    /// message ([`encode_relay`]).
+    /// message ([`write_relay`]).
     MigrateRequest {
         /// The machine the enclave should migrate to.
         destination: MachineId,
@@ -754,13 +745,12 @@ mod tests {
     #[test]
     fn relay_frames_split_back_and_are_total() {
         for (ct, container) in [(&b"sealed"[..], &b"container"[..]), (b"", b""), (b"x", b"")] {
-            let frame = encode_relay(ct, container);
-            assert_eq!(decode_relay(&frame).unwrap(), (ct, container));
             let mut w = WireWriter::new();
             write_relay(&mut w, ct, container);
-            let mut expected = WireWriter::new();
-            expected.bytes(&frame);
-            assert_eq!(w.finish(), expected.finish());
+            let written = w.finish();
+            let frame = WireReader::new(&written).bytes().unwrap();
+            assert_eq!(frame.len() + 4, written.len());
+            assert_eq!(decode_relay(frame).unwrap(), (ct, container));
             for cut in 0..4.min(frame.len()) {
                 assert!(decode_relay(&frame[..cut]).is_err());
             }

@@ -313,7 +313,7 @@ mod tests {
         let mut asm = ChunkAssembler::new(stream.chunk_size(), stream.total_len()).unwrap();
         stream_through(stream, &mut asm, 0);
         let out = asm.finish()?;
-        verify_root(&out, root)?;
+        verify_root(&out, root, 1)?;
         Ok(out)
     }
 
@@ -369,7 +369,7 @@ mod tests {
         stream_through(&stream, &mut asm, 2);
         let out = asm.finish().unwrap();
         assert_ne!(out, bytes);
-        assert!(verify_root(&out, &root).is_err());
+        assert!(verify_root(&out, &root, 1).is_err());
     }
 
     #[test]
@@ -391,7 +391,10 @@ mod tests {
             }
             let out = asm.finish().unwrap();
             if out != a {
-                assert!(verify_root(&out, &root_a).is_err(), "splice at {spliced}");
+                assert!(
+                    verify_root(&out, &root_a, 1).is_err(),
+                    "splice at {spliced}"
+                );
             }
         }
         assert_eq!(release(&xa, &root_a).unwrap(), a);
@@ -441,10 +444,10 @@ mod tests {
         let mut asm = ChunkAssembler::from_bytes(&asm.to_bytes()).unwrap();
         stream_through(&stream, &mut asm, 3);
         let out = asm.finish().unwrap();
-        verify_root(&out, &root).unwrap();
+        verify_root(&out, &root, 1).unwrap();
         assert_eq!(out, bytes);
         assert!(matches!(
-            verify_root(&out, &other_root),
+            verify_root(&out, &other_root, 1),
             Err(MigError::BulkMismatch)
         ));
     }
@@ -489,6 +492,6 @@ mod tests {
         evil[last] ^= 0x10;
         let mut restored = ChunkAssembler::from_bytes(&evil).unwrap();
         stream_through(&stream, &mut restored, 4);
-        assert!(verify_root(&restored.finish().unwrap(), &root).is_err());
+        assert!(verify_root(&restored.finish().unwrap(), &root, 1).is_err());
     }
 }

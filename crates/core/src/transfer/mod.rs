@@ -155,7 +155,9 @@ pub struct TransferConfig {
     pub batch_size: u32,
     /// Seal worker lanes: cell AEAD work fans out over this many
     /// deterministic lanes (assignment by chunk index, so wire bytes and
-    /// TRACE.json stay byte-identical). 1 = serial.
+    /// TRACE.json stay byte-identical), and so does the segment hashing
+    /// of the ME's container root checks (on `LIB_MSG` and at release).
+    /// 1 = serial.
     pub seal_lanes: u32,
 }
 

@@ -412,6 +412,29 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
+/// One-shot SHA-256 of each of `parts`, in order, fanned out over up to
+/// `lanes` worker threads (each lane hashes one contiguous run of
+/// parts). The lane count is clamped to the parts and to the host's
+/// available parallelism; it changes scheduling only, never digests.
+#[must_use]
+pub fn sha256_each(parts: &[&[u8]], lanes: u32) -> Vec<[u8; DIGEST_LEN]> {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let lanes = (lanes.max(1) as usize).min(cores).min(parts.len().max(1));
+    if lanes <= 1 {
+        return parts.iter().map(|part| sha256(part)).collect();
+    }
+    std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .chunks(parts.len().div_ceil(lanes))
+            .map(|run| s.spawn(move || run.iter().map(|part| sha256(part)).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("hash lane panicked"))
+            .collect()
+    })
+}
+
 /// The straightforward rolled SHA-256 the unrolled kernel replaced,
 /// retained verbatim as an independent equivalence oracle for tests and
 /// the `crypto_kernels` microbench (`reference` feature).
@@ -493,6 +516,17 @@ mod tests {
     use super::*;
     use crate::hex_encode;
     use proptest::prelude::*;
+
+    #[test]
+    fn sha256_each_matches_one_shot_for_every_lane_count() {
+        let data: Vec<Vec<u8>> = (0..37u8).map(|i| vec![i; usize::from(i) * 13]).collect();
+        let parts: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let expected: Vec<_> = parts.iter().map(|part| sha256(part)).collect();
+        for lanes in [0, 1, 2, 3, 8, 64] {
+            assert_eq!(sha256_each(&parts, lanes), expected, "lanes={lanes}");
+        }
+        assert!(sha256_each(&[], 4).is_empty());
+    }
 
     #[test]
     fn fips_vector_empty() {

@@ -777,7 +777,7 @@ fn chunk_replay_and_reorder_attacks_blocked() {
         for idx in 0..xfer_a.n_chunks() {
             fsm.on_chunk(idx, &pick(idx)).unwrap();
         }
-        fsm.release(None)
+        fsm.release(None, 1)
     };
     // Reorder: chunks 1 and 2 swapped in place (the index field alone
     // is rejected outright: a skipped index is out of order).
@@ -868,7 +868,7 @@ fn cross_stream_chunk_splice_rejected_and_quarantined() {
         )
         .unwrap()
     };
-    let released = |fsm: ReceiverFsm| match fsm.release(None).unwrap() {
+    let released = |fsm: ReceiverFsm| match fsm.release(None, 1).unwrap() {
         ReceiverRelease::Released { state, .. } => state.to_vec(),
         ReceiverRelease::BaseMissing => panic!("full stream needs no base"),
     };
@@ -893,7 +893,7 @@ fn cross_stream_chunk_splice_rejected_and_quarantined() {
             fsm_b.on_chunk(i, chunk).unwrap();
         }
         assert!(
-            fsm_b.release(None).is_err(),
+            fsm_b.release(None, 1).is_err(),
             "cross-stream splice at index {idx} must fail the root"
         );
         // ...while the untouched stream A releases byte-exactly.
@@ -1123,7 +1123,7 @@ fn tampered_delta_manifest_rejected_before_any_page_applied() {
     // What the destination releases: the applied delta, gated by the root.
     let release = |m: &DeltaManifest, payload: &[u8]| -> Result<Vec<u8>, MigError> {
         let out = delta::apply(base, m, payload)?;
-        verify_root(&out, &root)?;
+        verify_root(&out, &root, 1)?;
         Ok(out)
     };
     // The genuine delta releases the exact container.

@@ -243,7 +243,7 @@ proptest! {
             fsm.on_chunk(idx, stream.chunk(idx)).unwrap();
         }
         prop_assert!(fsm.is_complete());
-        match fsm.release(Some(&base)).unwrap() {
+        match fsm.release(Some(&base), 1).unwrap() {
             ReceiverRelease::Released { state, .. } => {
                 prop_assert_eq!(&state[..], &expected[..]);
             }

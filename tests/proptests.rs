@@ -326,7 +326,7 @@ proptest! {
             }
             chunk
         });
-        prop_assert!(verify_root(&flipped, &root).is_err());
+        prop_assert!(verify_root(&flipped, &root, 1).is_err());
 
         // A chunk from another transfer at the same index fails the
         // root unless it is byte-identical there.
@@ -335,7 +335,7 @@ proptest! {
             let spliced = reassemble(&|idx| {
                 if idx == at { foreign.chunk(idx) } else { stream.chunk(idx) }.to_vec()
             });
-            prop_assert!(verify_root(&spliced, &root).is_err());
+            prop_assert!(verify_root(&spliced, &root, 1).is_err());
         }
 
         // Replays and skips are refused on arrival; the genuine stream
@@ -350,7 +350,7 @@ proptest! {
             asm.accept(idx, stream.chunk(idx)).unwrap();
         }
         let out = asm.finish().unwrap();
-        prop_assert!(verify_root(&out, &root).is_ok());
+        prop_assert!(verify_root(&out, &root, 1).is_ok());
         prop_assert_eq!(&out, genuine);
     }
 }
@@ -842,10 +842,12 @@ proptest! {
 
     /// `verify_root` refuses every mutated or arbitrary container against
     /// the genuine root, and arbitrary bytes against their own claimed
-    /// root, without panicking; the genuine container passes.
+    /// root, without panicking, on any number of hash lanes; the genuine
+    /// container passes.
     #[test]
     fn verify_root_is_total(
         seed in 0u64..4,
+        lanes in 1u32..5,
         kind in any::<u8>(),
         pos in any::<usize>(),
         xor in 1u8..=255,
@@ -855,14 +857,14 @@ proptest! {
         use mig_core::library::bulk::{verify_relayed, verify_root};
         let f = bulk_decoders::fixture(seed);
         let root = common::root_of(&f.container);
-        prop_assert!(verify_root(&f.container, &root).is_ok());
+        prop_assert!(verify_root(&f.container, &root, lanes).is_ok());
         let mutated = bulk_decoders::mutate(&f.container, kind, pos, xor, &junk);
-        prop_assert!(verify_root(&mutated, &root).is_err());
-        prop_assert!(verify_root(&arbitrary, &root).is_err());
-        prop_assert!(verify_relayed(&arbitrary, None).is_err() || arbitrary.is_empty());
+        prop_assert!(verify_root(&mutated, &root, lanes).is_err());
+        prop_assert!(verify_root(&arbitrary, &root, lanes).is_err());
+        prop_assert!(verify_relayed(&arbitrary, None, lanes).is_err() || arbitrary.is_empty());
         if let Ok(layout) = mig_core::library::bulk::Layout::parse(&arbitrary) {
             let claimed = mig_crypto::sha256::sha256(&arbitrary[layout.index]);
-            let _ = verify_root(&arbitrary, &claimed);
+            let _ = verify_root(&arbitrary, &claimed, lanes);
         }
     }
 }

@@ -681,12 +681,6 @@ fn unframe(payload: &[u8]) -> (u8, Vec<u8>) {
     (tag, body)
 }
 
-fn reframe(tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(tag).bytes(body);
-    w.finish()
-}
-
 /// Installs a tap that rewrites the bulk container of every relay frame
 /// with wire tag `tag` addressed to `to` (service name), keeping the
 /// sealed message. Returns the count of ME↔ME frames seen.
@@ -697,7 +691,7 @@ fn swap_relayed_container(
     swap: impl Fn(&[u8]) -> Vec<u8> + Send + 'static,
 ) -> std::sync::Arc<std::sync::atomic::AtomicUsize> {
     use cloud_sim::network::{Envelope, TapAction};
-    use mig_core::msgs::{decode_relay, encode_relay};
+    use mig_core::msgs::{decode_relay, write_relay};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -717,8 +711,9 @@ fn swap_relayed_container(
             if container.is_empty() {
                 return TapAction::Deliver;
             }
-            let relay = encode_relay(ct, &swap(container));
-            TapAction::Replace(reframe(frame_tag, &relay))
+            let mut w = WireWriter::new();
+            write_relay(w.u8(frame_tag), ct, &swap(container));
+            TapAction::Replace(w.finish())
         }));
     me_me
 }
