@@ -19,6 +19,11 @@
 //! - **seal / open**: end-to-end AES-128-GCM through `AesGcm` (new
 //!   kernels) vs the same construction assembled from the reference
 //!   primitives (the pre-kernel production path)
+//! - **cell**: one ME↔ME stream cell per 256 KiB chunk, sealed then
+//!   opened — the whole chunk frame encrypted (old) vs a 25-byte
+//!   encrypted header with the chunk authenticated as AAD and never
+//!   encrypted or copied (new, `AesGcm::seal_split_in_place` /
+//!   `open_split`); MB/s of chunk bytes through both ends
 //!
 //! Results land in `BENCH_crypto.json` (override with
 //! `CRYPTO_KERNELS_JSON_PATH`); CI uploads the file as an artifact so
@@ -240,6 +245,52 @@ fn bench_seal_open(data: &[u8]) -> (Pair, Pair) {
     )
 }
 
+/// Chunk size of the `cell` row: the default `TransferConfig` chunk.
+const CELL_LEN: usize = 256 * 1024;
+
+fn bench_cell(data: &[u8]) -> Pair {
+    let aead = AesGcm::new([0x22u8; 16]);
+    let nonce = [9u8; 12];
+    let aad = b"sgx-migrate.channel";
+    let header = [0x5Au8; 25];
+    let bytes = data.len() - data.len() % CELL_LEN;
+    let cells = || data[..bytes].chunks_exact(CELL_LEN);
+
+    // Old arm: the whole frame — header and chunk — sealed, then opened.
+    let mut frame = Vec::with_capacity(header.len() + CELL_LEN);
+    let mut sealed = Vec::with_capacity(header.len() + CELL_LEN + gcm::TAG_LEN);
+    let old = timed(bytes, || {
+        for chunk in cells() {
+            frame.clear();
+            frame.extend_from_slice(&header);
+            frame.extend_from_slice(chunk);
+            sealed.clear();
+            aead.seal_into(&nonce, aad, &frame, &mut sealed);
+            std::hint::black_box(aead.open(&nonce, aad, &sealed).expect("tag verifies"));
+        }
+    });
+
+    // New arm: only the header is encrypted; the chunk is the AAD's body.
+    let new = timed(bytes, || {
+        for chunk in cells() {
+            let mut head = header;
+            let tag = aead.seal_split_in_place(&nonce, aad, chunk, &mut head);
+            let mut sealed_head = [0u8; 25 + gcm::TAG_LEN];
+            sealed_head[..25].copy_from_slice(&head);
+            sealed_head[25..].copy_from_slice(&tag);
+            std::hint::black_box(
+                aead.open_split(&nonce, aad, chunk, &sealed_head)
+                    .expect("tag verifies"),
+            );
+        }
+    });
+    Pair {
+        kernel: "cell",
+        old_mb_per_s: old,
+        new_mb_per_s: new,
+    }
+}
+
 fn main() {
     let mib: usize = std::env::var("CRYPTO_KERNELS_MIB")
         .ok()
@@ -259,6 +310,7 @@ fn main() {
     let (seal, open) = bench_seal_open(&data);
     pairs.push(seal);
     pairs.push(open);
+    pairs.push(bench_cell(&data));
 
     for p in &pairs {
         println!(

@@ -497,10 +497,7 @@ impl Datacenter {
     /// sealed ME state (namespace `"me-state"` on its untrusted disk).
     #[must_use]
     pub fn me_checkpoints(&self, machine: MachineId) -> CheckpointStore {
-        // Sealed ME state re-encrypts wholesale every generation, so
-        // page-digest sidecars would never yield a useful delta.
         CheckpointStore::with_keep(self.world.machine(machine).disk.clone(), "me-state", 2)
-            .without_page_digests()
     }
 
     /// Checkpoints a machine's ME state to its untrusted disk (the

@@ -1148,10 +1148,7 @@ impl AppHost {
         expected_me: MrEnclave,
         init: InitRequest,
     ) -> Result<Self, SgxError> {
-        // Nothing diffs app checkpoints (the ME ships deltas from its own
-        // cache), so the series skips the O(record) page digests.
-        let checkpoints =
-            CheckpointStore::new(disk.clone(), &format!("mig-state:{name}")).without_page_digests();
+        let checkpoints = CheckpointStore::new(disk.clone(), &format!("mig-state:{name}"));
         let mut host = AppHost {
             name: name.to_string(),
             endpoint,

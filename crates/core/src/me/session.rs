@@ -19,7 +19,10 @@
 //! `Transfer`, full stream, delta) releases a container only once
 //! [`verify_root`] accepts it against the root that travelled with
 //! Table I, and the forward to the library carries the root while the
-//! host relays the container beside it.
+//! host relays the container beside it. Between the MEs the container
+//! is the public body of the stream's channel cells — authenticated at
+//! cell open, never re-encrypted ([`super::wire`]) — and a received
+//! chunk's payload goes from the ECALL input straight into its stream.
 //!
 //! Invalid events surface as [`MigError::InvalidTransition`], frames
 //! for nonces no stream owns as [`MigError::StaleNonce`], and a delta
@@ -1225,7 +1228,7 @@ impl MigrationEnclave {
                         .ok_or(MigError::ChannelMissing {
                             peer: ChannelPeer::Source,
                         })?;
-                let ack = channel.seal(&MeToMe::Delivered { mr_enclave: mr }.to_bytes());
+                let ack = wire::seal_msg(channel, &MeToMe::Delivered { mr_enclave: mr });
                 MeAction::AckSource { source, ack }
             }
         };
@@ -1303,18 +1306,17 @@ impl MigrationEnclave {
 
         // The cell must cover every frame of this batch: the granted
         // streams' chunk geometry and the lead frames' natural sizes.
-        let lead_bytes: Vec<Vec<u8>> = leads.iter().map(MeToMe::to_bytes).collect();
         let mut needed = lead_cost;
         for (mr, demand) in &demands {
             if grants.contains(mr) {
                 needed = needed.max(demand.chunk_cost as u32);
             }
         }
-        for bytes in &lead_bytes {
+        for lead in &leads {
             // A lead larger than the cell's frame size (a delta manifest
             // naming many pages) raises the cell so chunks sealed after
             // it cannot overtake it.
-            needed = needed.max(wire::cell_for_frame_len(bytes.len())?);
+            needed = needed.max(wire::cell_for_frame_len(wire::natural_frame_len(lead))?);
         }
         let cell = self
             .shapers
@@ -1331,14 +1333,15 @@ impl MigrationEnclave {
                 .ok_or(MigError::SessionInvariant("granted stream not sendable"))?;
             next.insert(*mr, s.next_to_send);
         }
-        // Build every plaintext of this burst first (leads padded to the
-        // chunk-frame length, then the granted chunks), then hand the
-        // whole burst to the channel's seal lanes at once — the AEAD
-        // work overlaps across lanes while the sealed sequence numbers
-        // and ciphertexts stay byte-identical to sequential sealing.
-        let mut plaintexts: Vec<Vec<u8>> = Vec::with_capacity(lead_bytes.len() + grants.len());
-        for bytes in lead_bytes {
-            plaintexts.push(wire::lead_plaintext(bytes, cell));
+        // Build every cell of this burst first (leads padded to the
+        // chunk-frame length, then the granted chunks, their bodies
+        // borrowed from the chunk caches), then hand the whole burst to
+        // the channel's seal lanes at once — the AEAD work overlaps
+        // across lanes while the sealed sequence numbers and frames stay
+        // byte-identical to sequential sealing.
+        let mut cells: Vec<wire::Cell<'_>> = Vec::with_capacity(leads.len() + grants.len());
+        for lead in &leads {
+            cells.push(wire::lead_cell(lead, cell));
         }
         for mr in &grants {
             let cache = self
@@ -1348,7 +1351,7 @@ impl MigrationEnclave {
             let idx = next
                 .get_mut(mr)
                 .ok_or(MigError::SessionInvariant("granted stream not scheduled"))?;
-            plaintexts.push(wire::chunk_plaintext(cache, *idx, cell));
+            cells.push(wire::chunk_cell(cache, *idx, cell));
             *idx += 1;
         }
         let (batch, seal_lanes) = {
@@ -1364,32 +1367,32 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Destination,
             })?;
-        self.telemetry.chunks_sealed += grants.len() as u64;
         // On a batch-negotiated link the whole burst (leads included —
         // all sealed to one uniform cell length) rides in TRANSFER_BATCH
         // containers, collapsing up to `batch` enclave transitions into
         // one; each container is allocated at its final size and the
         // cells are sealed straight into it (`wire::seal_batch`). A
-        // batch of 1 keeps the legacy per-frame TRANSFER path
-        // byte-identical.
+        // batch of 1 keeps the per-frame TRANSFER path.
         let frames: StreamFrames = if batch > 1 {
-            let mut containers: StreamFrames =
-                Vec::with_capacity(plaintexts.len().div_ceil(batch as usize));
-            for cells in plaintexts.chunks(batch as usize) {
-                containers.push((
-                    FRAME_BATCH,
-                    wire::seal_batch(channel, cells, cell, batch, seal_lanes),
-                ));
-            }
-            self.telemetry.batches_sealed += containers.len() as u64;
-            containers
+            cells
+                .chunks(batch as usize)
+                .map(|run| {
+                    (
+                        FRAME_BATCH,
+                        wire::seal_batch(channel, run, cell, batch, seal_lanes),
+                    )
+                })
+                .collect()
         } else {
-            channel
-                .seal_many(&plaintexts, seal_lanes)
+            wire::seal_frames(channel, &cells, seal_lanes)
                 .into_iter()
-                .map(|ct| (FRAME_SINGLE, ct))
+                .map(|frame| (FRAME_SINGLE, frame))
                 .collect()
         };
+        self.telemetry.chunks_sealed += grants.len() as u64;
+        if batch > 1 {
+            self.telemetry.batches_sealed += frames.len() as u64;
+        }
         for (mr, n) in next {
             let stream = self
                 .outgoing
@@ -1617,7 +1620,7 @@ impl MigrationEnclave {
                     .ok_or(MigError::ChannelMissing {
                         peer: ChannelPeer::Destination,
                     })?;
-            frames.push((FRAME_SINGLE, channel.seal(&msg.to_bytes())));
+            frames.push((FRAME_SINGLE, wire::seal_msg(channel, &msg)));
         }
         for mr in resumes {
             let mig = self
@@ -1636,7 +1639,7 @@ impl MigrationEnclave {
                     .ok_or(MigError::ChannelMissing {
                         peer: ChannelPeer::Destination,
                     })?;
-            frames.push((FRAME_SINGLE, channel.seal(&msg.to_bytes())));
+            frames.push((FRAME_SINGLE, wire::seal_msg(channel, &msg)));
         }
         if !announces.is_empty() {
             let chunk_size = self
@@ -1817,13 +1820,12 @@ impl MigrationEnclave {
 
     /// Seals `msg` for the source ME on the inbound channel from `source`.
     fn seal_to_source(&mut self, source: MachineId, msg: &MeToMe) -> Result<Vec<u8>, MigError> {
-        Ok(self
-            .channels_in
+        self.channels_in
             .get_mut(&source)
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Source,
-            })?
-            .seal(&msg.to_bytes()))
+            })
+            .map(|channel| wire::seal_msg(channel, msg))
     }
 
     /// Accepts complete incoming migration data whose container already
@@ -2072,8 +2074,8 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Source,
             })?;
-        let plaintext = channel.open(ciphertext)?;
-        match MeToMe::from_bytes(&plaintext)? {
+        let frame = wire::open_frame(channel, ciphertext)?;
+        match frame.msg {
             MeToMe::Transfer {
                 mr_enclave,
                 data,
@@ -2094,17 +2096,13 @@ impl MigrationEnclave {
             msg @ (MeToMe::ChunkStart { .. } | MeToMe::DeltaStart { .. }) => {
                 self.announce_inbound(source, msg)
             }
-            MeToMe::Chunk {
-                nonce,
-                idx,
-                payload,
-                pad: _,
-            } => {
+            MeToMe::Chunk { nonce, idx, .. } => {
+                let payload = frame.payload()?;
                 let fsm = self.inbound.get_mut(&nonce).ok_or(MigError::StaleNonce)?;
                 if fsm.source() != source {
                     return Err(MigError::Protocol("chunk from wrong source"));
                 }
-                if let Err(e) = fsm.on_chunk(idx, &payload) {
+                if let Err(e) = fsm.on_chunk(idx, payload) {
                     // An out-of-order index is a loss artifact of the
                     // network: keep the received prefix so a resume
                     // renegotiation continues from it. A wrong length is
@@ -2191,7 +2189,7 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Source,
             })?;
-        let (plaintexts, all_ok) = channel.open_many(&cells, transfer_cfg.seal_lanes);
+        let (frames, all_ok) = wire::open_batch(channel, &cells, transfer_cfg.seal_lanes);
         self.telemetry.batches_received += 1;
 
         let mut results: Vec<Vec<u8>> = Vec::new();
@@ -2200,24 +2198,16 @@ impl MigrationEnclave {
         // order; each gets exactly one transition attribution and (when
         // still incomplete at the end) one combined cumulative ack.
         let mut touched: Vec<TransferNonce> = Vec::new();
-        'cells: for plaintext in &plaintexts {
-            let msg = match MeToMe::from_bytes(plaintext) {
-                Ok(msg) => msg,
-                Err(_) => {
-                    status = 1;
-                    break 'cells;
-                }
-            };
-            match msg {
+        'cells: for frame in frames {
+            match frame.msg {
                 msg @ (MeToMe::ChunkStart { .. } | MeToMe::DeltaStart { .. }) => {
                     results.push(self.announce_inbound(source, msg)?);
                 }
-                MeToMe::Chunk {
-                    nonce,
-                    idx,
-                    payload,
-                    pad: _,
-                } => {
+                MeToMe::Chunk { nonce, idx, .. } => {
+                    let Ok(payload) = frame.payload() else {
+                        status = 1;
+                        break 'cells;
+                    };
                     // A cell for a nonce quarantined earlier in this same
                     // container is expected debris — skip it without
                     // disturbing the other multiplexed streams.
@@ -2228,7 +2218,7 @@ impl MigrationEnclave {
                         status = 1;
                         break 'cells;
                     }
-                    if let Err(e) = fsm.on_chunk(idx, &payload) {
+                    if let Err(e) = fsm.on_chunk(idx, payload) {
                         // Same policy as the per-frame path: keep the
                         // received prefix on an out-of-order index,
                         // quarantine this stream on tamper evidence —
@@ -2431,8 +2421,7 @@ impl MigrationEnclave {
             .ok_or(MigError::ChannelMissing {
                 peer: ChannelPeer::Destination,
             })?;
-        let plaintext = channel.open(ciphertext)?;
-        match MeToMe::from_bytes(&plaintext)? {
+        match wire::open_frame(channel, ciphertext)?.msg {
             MeToMe::Delivered { mr_enclave } => {
                 // Delivery binding: only the migration's *current*
                 // destination may release the retained copy (Fig. 2) —

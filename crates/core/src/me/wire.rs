@@ -1,6 +1,30 @@
 //! The **wire layer** of the Migration Enclave: everything that decides
 //! how session frames are shaped for one destination link.
 //!
+//! **One cell format.** Every [`MeToMe`] frame is one secure-channel
+//! cell followed by a 4-byte trailer:
+//!
+//! ```text
+//! ciphertext(header) ‖ tag ‖ body ‖ u32 LE body length
+//! ```
+//!
+//! The header ([`MeToMe::header`]) is encrypted: the message tag,
+//! transfer nonce, chunk index and lengths, or a whole announcement with
+//! Table I. The body is public and only authenticated — a chunk's
+//! payload, which is MSK-sealed container ciphertext (or packed pages of
+//! it, for a delta), plus zero pad, or zero pad alone. Its type,
+//! [`CellBody`], admits nothing else. Header and body go through one
+//! AES-GCM call with AAD = `CHANNEL_AAD ‖ body`
+//! ([`SecureChannel::seal_cell`]), so a flipped bit anywhere, a
+//! body moved to another cell or stream, and a replayed or reordered
+//! cell are refused at cell open, by the channel's per-cell sequence
+//! numbers, before any byte reaches a stream. The trailer tells the
+//! receiver where the body starts; GCM's length block covers both
+//! lengths, so a trailer that moves the split also fails the tag. The
+//! trailer takes the four bytes of the pad-length field a frame's
+//! plaintext used to end with, so frame lengths are those of a
+//! whole-frame seal.
+//!
 //! The simulated network delivers smaller ciphertexts earlier within a
 //! step, so FIFO delivery of a multiplexed chunk stream is a *sizing*
 //! property: every source→destination stream frame is padded to the
@@ -8,7 +32,7 @@
 //! lead frames grow the cell ([`cell_for_frame_len`]), and the small
 //! destination→source control frames share one uniform
 //! [`CTRL_FRAME_LEN`]. This module owns that policy in one place —
-//! the frame-size arithmetic ([`chunk_frame_len`] / [`pad_frame`]), the
+//! the frame-size arithmetic ([`chunk_frame_len`] / `lead_cell`), the
 //! per-destination [`AdaptiveLink`] chunk/window controller, and the
 //! [`DrrScheduler`] apportioning the shared link window among
 //! concurrent streams — so the session layer ([`super::session`]) never
@@ -17,31 +41,36 @@
 use crate::error::MigError;
 use crate::msgs::MeToMe;
 use crate::secure_channel::SecureChannel;
-use crate::transfer::chunker::ChunkStream;
+use crate::transfer::chunker::{CellBody, ChunkStream};
 use crate::transfer::{TransferConfig, MIN_CHUNK_SIZE};
 use mig_crypto::gcm::TAG_LEN;
 use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::WireReader;
 #[cfg(test)]
 use sgx_sim::wire::WireWriter;
+use sgx_sim::SgxError;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-/// Uniform plaintext length of the small destination→source control
-/// frames (`Delivered`, `Stored`, `ChunkAck`, `Resume`, `DeltaNack`).
-/// With multiple streams multiplexed on one channel these frames are
-/// sealed back to back; equal lengths keep their ciphertexts FIFO on
-/// the size-ordered simulated network.
+/// Uniform frame length (header, body and trailer — everything but the
+/// tag) of the small destination→source control frames (`Delivered`,
+/// `Stored`, `ChunkAck`, `Resume`, `DeltaNack`). With multiple streams
+/// multiplexed on one channel these frames are sealed back to back;
+/// equal lengths keep their ciphertexts FIFO on the size-ordered
+/// network.
 pub const CTRL_FRAME_LEN: usize = 64;
 
-/// Fixed wire overhead of a [`MeToMe::Chunk`] frame — the layout
-/// emitted by [`MeToMe::encode_chunk`]: tag(1), nonce(16), idx(4),
-/// payload len prefix(4), pad len prefix(4).
-const CHUNK_FRAME_OVERHEAD: usize = 29;
+/// Length of the body-length trailer closing every frame.
+pub const CELL_TRAILER_LEN: usize = 4;
 
-/// Plaintext length of a [`MeToMe::Chunk`] frame whose payload plus
-/// padding sum to `cell` bytes — the uniform *wire cell* every stream
-/// frame towards one destination is padded to.
+/// Fixed overhead of a [`MeToMe::Chunk`] frame beside its tag and body:
+/// the header [`MeToMe::chunk_header`] emits — tag(1), nonce(16),
+/// idx(4), payload length(4) — and the trailer(4).
+const CHUNK_FRAME_OVERHEAD: usize = 25 + CELL_TRAILER_LEN;
+
+/// Frame length (everything but the tag) of a [`MeToMe::Chunk`] frame
+/// whose body — payload plus padding — is `cell` bytes: the uniform
+/// *wire cell* every stream frame towards one destination is padded to.
 #[must_use]
 pub fn chunk_frame_len(cell: u32) -> usize {
     cell as usize + CHUNK_FRAME_OVERHEAD
@@ -65,52 +94,180 @@ pub fn cell_for_frame_len(frame_len: usize) -> Result<u32, MigError> {
     u32::try_from(cell).map_err(|_| MigError::Transfer("frame exceeds cell range"))
 }
 
-/// Grows the trailing pad field of a freshly encoded stream frame
-/// (`ChunkStart` / `DeltaStart`, whose [`MeToMe::to_bytes`] emits an
-/// empty pad) so the plaintext reaches exactly `target` bytes —
-/// equalizing its wire size with the destination's chunk frames. A
-/// frame already at or above `target` is left unchanged.
-pub fn pad_frame(frame: &mut Vec<u8>, target: usize) {
-    if frame.len() >= target {
-        return;
-    }
-    let extra = target - frame.len();
-    let len_pos = frame.len() - 4;
-    debug_assert_eq!(
-        // mig-lint: allow(enclave-panic, "debug-only guard; every MeToMe frame ends in the 4-byte pad-length field")
-        &frame[len_pos..],
-        &[0u8; 4],
-        "pad_frame requires a trailing empty pad field"
-    );
-    // mig-lint: allow(enclave-panic, "len_pos = frame.len()-4 is in bounds (frames end in the pad field) and extra <= target <= cell <= u32::MAX")
-    frame[len_pos..].copy_from_slice(&u32::try_from(extra).expect("pad < 4 GiB").to_le_bytes());
-    frame.resize(target, 0);
+/// One frame ready to seal: its encrypted header and its public body.
+pub(crate) type Cell<'a> = (Vec<u8>, CellBody<'a>);
+
+/// Frame length of a cell: header, body and trailer.
+fn frame_len((header, body): &Cell<'_>) -> usize {
+    header.len() + body.len() + CELL_TRAILER_LEN
 }
 
-/// Encodes chunk `idx` of `stream` as a seal-ready plaintext, padded to
-/// the destination's wire `cell`. Chunk payloads are encoded straight
-/// from the stream's shared buffer ([`MeToMe::encode_chunk`]) — no
-/// per-chunk clone.
+/// Chunk `idx` of `stream` as a cell, its body padded to the
+/// destination's wire `cell`. The payload is borrowed from the stream's
+/// shared buffer and written once, into the sealed frame.
 ///
 /// Every stream frame towards one destination (announcements included)
 /// is padded to the same cell so equal-length ciphertexts stay FIFO on
 /// the size-ordered simulated network even when several streams'
-/// frames interleave on the shared channel. Building plaintexts apart
-/// from sealing lets the session layer hand the whole send burst to
-/// [`SecureChannel::seal_many`](crate::secure_channel::SecureChannel::seal_many)
-/// and overlap the AEAD work across its
-/// seal lanes.
-pub(crate) fn chunk_plaintext(stream: &ChunkStream, idx: u32, cell: u32) -> Vec<u8> {
-    let payload = stream.chunk(idx);
-    let pad = cell.saturating_sub(payload.len() as u32);
-    MeToMe::encode_chunk(&stream.nonce(), idx, payload, pad)
+/// frames interleave on the shared channel. Building cells apart from
+/// sealing lets the session layer hand the whole send burst to
+/// [`seal_frames`] / [`seal_batch`] and overlap the AEAD work across the
+/// channel's seal lanes.
+pub(crate) fn chunk_cell(stream: &ChunkStream, idx: u32, cell: u32) -> Cell<'_> {
+    let body = CellBody::chunk(stream, idx, cell);
+    let len = u32::try_from(body.payload_len()).unwrap_or(u32::MAX);
+    (MeToMe::chunk_header(&stream.nonce(), idx, len), body)
 }
 
-/// Pads an encoded lead frame (`ChunkStart` / `DeltaStart` /
-/// re-announcement) to the cell's chunk-frame length, ready to seal.
-pub(crate) fn lead_plaintext(mut frame: Vec<u8>, cell: u32) -> Vec<u8> {
-    pad_frame(&mut frame, chunk_frame_len(cell));
-    frame
+/// A lead frame (`ChunkStart` / `DeltaStart` / re-announcement) as a
+/// cell, its zero-pad body sized so the frame reaches the cell's
+/// chunk-frame length. A lead already at or above that length gets no
+/// pad (the cell grows to it instead, [`cell_for_frame_len`]).
+pub(crate) fn lead_cell(msg: &MeToMe, cell: u32) -> Cell<'static> {
+    let header = msg.header();
+    let pad = chunk_frame_len(cell).saturating_sub(header.len() + CELL_TRAILER_LEN);
+    (header, CellBody::zero_pad(pad))
+}
+
+/// Frame length of `msg`'s lead cell before any cell padding.
+pub(crate) fn natural_frame_len(msg: &MeToMe) -> usize {
+    frame_len(&lead_cell(msg, 0))
+}
+
+/// Any other message as a cell, with the pad it carries on its own
+/// ([`MeToMe::body_pad`]).
+fn msg_cell(msg: &MeToMe) -> Cell<'static> {
+    let header = msg.header();
+    let pad = msg.body_pad(header.len());
+    (header, CellBody::zero_pad(pad))
+}
+
+/// Seals `msg` as one frame — the path of every single message on the
+/// ME↔ME channel (single-shot transfers, resume requests and all
+/// destination→source control frames).
+pub(crate) fn seal_msg(channel: &mut SecureChannel, msg: &MeToMe) -> Vec<u8> {
+    seal_frames(channel, &[msg_cell(msg)], 1)
+        .into_iter()
+        .next()
+        .unwrap_or_default()
+}
+
+/// Writes the body-length trailer.
+fn write_trailer(out: &mut [u8], body_len: usize) {
+    // mig-lint: allow(enclave-panic, "bodies are bounded by the wire cell (a u32) or a control frame")
+    out.copy_from_slice(&u32::try_from(body_len).expect("body < 4 GiB").to_le_bytes());
+}
+
+/// Seals `cells` into frames laid out in `frames` (each exactly
+/// `TAG_LEN + frame_len` bytes, trailer last), with the AEAD work fanned
+/// out over the channel's `lanes`. Every body is written once, into its
+/// frame, and authenticated there.
+fn seal_in_place(
+    channel: &mut SecureChannel,
+    cells: &[Cell<'_>],
+    lanes: u32,
+    frames: Vec<&mut [u8]>,
+) {
+    let parts: Vec<(&[u8], CellBody<'_>)> = cells.iter().map(|(h, b)| (h.as_slice(), *b)).collect();
+    let mut sealed = Vec::with_capacity(frames.len());
+    for (frame, (_, body)) in frames.into_iter().zip(cells) {
+        let (cell, trailer) = frame.split_at_mut(frame.len() - CELL_TRAILER_LEN);
+        write_trailer(trailer, body.len());
+        sealed.push(cell);
+    }
+    channel.seal_many(&parts, lanes, &mut sealed);
+}
+
+/// Seals a run of cells as individual frames, one buffer each, allocated
+/// once at its final length.
+pub(crate) fn seal_frames(
+    channel: &mut SecureChannel,
+    cells: &[Cell<'_>],
+    lanes: u32,
+) -> Vec<Vec<u8>> {
+    let mut frames: Vec<Vec<u8>> = cells
+        .iter()
+        .map(|cell| vec![0; TAG_LEN + frame_len(cell)])
+        .collect();
+    let slices = frames.iter_mut().map(Vec::as_mut_slice).collect();
+    seal_in_place(channel, cells, lanes, slices);
+    frames
+}
+
+/// Splits one received frame into its sealed header (`ciphertext ‖
+/// tag`) and its body. Framing only: the split is checked by the tag at
+/// cell open.
+///
+/// # Errors
+///
+/// [`MigError::Transfer`] when the frame is too short for a trailer and
+/// a tag, or its trailer claims more body than the frame holds.
+pub fn split_cell(frame: &[u8]) -> Result<(&[u8], &[u8]), MigError> {
+    let framing = MigError::Transfer("malformed cell frame");
+    let trailer_at = frame
+        .len()
+        .checked_sub(CELL_TRAILER_LEN)
+        .ok_or(framing.clone())?;
+    let (cell, trailer) = frame.split_at(trailer_at);
+    let body_len = u32::from_le_bytes(trailer.try_into().map_err(|_| framing.clone())?);
+    let body_at = usize::try_from(body_len)
+        .ok()
+        .and_then(|len| cell.len().checked_sub(len))
+        .filter(|at| *at >= TAG_LEN)
+        .ok_or(framing)?;
+    Ok(cell.split_at(body_at))
+}
+
+/// A decrypted frame: the message its header carries and the body it
+/// authenticated.
+pub(crate) struct Opened<'a> {
+    /// The message (its header).
+    pub msg: MeToMe,
+    /// The frame's body, borrowed from the input.
+    body: &'a [u8],
+}
+
+impl<'a> Opened<'a> {
+    /// Decodes a header `open_cell` returned for `body`.
+    fn decode(header: &[u8], body: &'a [u8]) -> Result<Self, MigError> {
+        Ok(Opened {
+            msg: MeToMe::from_header(header)?,
+            body,
+        })
+    }
+
+    /// The chunk payload of a [`MeToMe::Chunk`]: the first `len` bytes
+    /// of the body, borrowed.
+    ///
+    /// # Errors
+    ///
+    /// [`SgxError::Decode`] when the header names more payload than the
+    /// body holds, or the frame is no chunk.
+    pub fn payload(&self) -> Result<&'a [u8], MigError> {
+        match self.msg {
+            MeToMe::Chunk { len, .. } => Ok(self
+                .body
+                .get(..len as usize)
+                .ok_or(MigError::Sgx(SgxError::Decode))?),
+            _ => Err(MigError::Sgx(SgxError::Decode)),
+        }
+    }
+}
+
+/// Opens the next in-order frame from the peer: splits it, checks the
+/// tag over the borrowed body, decrypts only the header and decodes it.
+///
+/// # Errors
+///
+/// [`MigError::Transfer`] on a malformed frame, [`MigError::Sgx`] on a
+/// tag mismatch (nothing consumed) or an undecodable header.
+pub(crate) fn open_frame<'a>(
+    channel: &mut SecureChannel,
+    frame: &'a [u8],
+) -> Result<Opened<'a>, MigError> {
+    let (sealed, body) = split_cell(frame)?;
+    let header = channel.open_cell(sealed, body)?;
+    Opened::decode(&header, body)
 }
 
 /// Hard upper bound on the cells one `TRANSFER_BATCH` container may
@@ -121,7 +278,7 @@ pub const MAX_BATCH: u32 = 256;
 
 /// Uniform wire length of a `TRANSFER_BATCH` container on a link whose
 /// negotiated batch size is `batch` and whose wire cell is `cell`:
-/// cell count, `batch` length-prefixed sealed cells, and the trailing
+/// cell count, `batch` length-prefixed sealed frames, and the trailing
 /// pad field. Containers holding fewer than `batch` cells are padded up
 /// to this length so a final partial batch (a smaller ciphertext) can
 /// never overtake earlier full batches on the size-ordered network.
@@ -131,34 +288,44 @@ pub fn batch_frame_len(cell: u32, batch: u32) -> usize {
     4 + batch as usize * (4 + sealed_cell) + 4
 }
 
-/// Seals a run of plaintext cells (chunk frames and padded lead frames,
-/// all of one uniform plaintext length) directly into one batch
-/// container, padded to [`batch_frame_len`] for the link's negotiated
-/// `batch` size. The container is allocated once at its final size and
-/// the channel seals each cell in place behind its length prefix
-/// ([`SecureChannel::seal_many_framed`]) — no per-cell ciphertext
-/// buffers, no second copy into the container.
+/// Seals a run of cells (chunk frames and padded lead frames, all of one
+/// uniform frame length) directly into one batch container, padded to
+/// [`batch_frame_len`] for the link's negotiated `batch` size. The
+/// container is allocated once at its final size and laid out first —
+/// cell count, each frame's length prefix and trailer, the pad field —
+/// then every frame is sealed in place, on the channel's `lanes`: no
+/// per-frame buffer, no gather copy.
 pub(crate) fn seal_batch(
     channel: &mut SecureChannel,
-    cells: &[Vec<u8>],
+    cells: &[Cell<'_>],
     cell: u32,
     batch: u32,
     lanes: u32,
 ) -> Vec<u8> {
-    let target = batch_frame_len(cell, batch);
-    let mut out = Vec::with_capacity(target);
-    out.extend_from_slice(&(cells.len() as u32).to_le_bytes());
-    channel.seal_many_framed(cells, lanes, &mut out);
-    // Trailing pad field, exactly as pack_batch framed it.
-    let pad = target.saturating_sub(out.len() + 4);
-    // mig-lint: allow(enclave-panic, "pad < target <= batch_frame_len < 4 GiB")
-    out.extend_from_slice(&u32::try_from(pad).expect("pad < 4 GiB").to_le_bytes());
-    out.resize(target, 0);
+    let mut out = vec![0; batch_frame_len(cell, batch)];
+    let (count, mut rest) = out.split_at_mut(4);
+    count.copy_from_slice(&(cells.len() as u32).to_le_bytes());
+    let mut frames = Vec::with_capacity(cells.len());
+    for c in cells {
+        let len = TAG_LEN + frame_len(c);
+        let (prefix, tail) = rest.split_at_mut(4);
+        // mig-lint: allow(enclave-panic, "a frame is bounded by the wire cell, itself < 4 GiB")
+        prefix.copy_from_slice(&u32::try_from(len).expect("cell < 4 GiB").to_le_bytes());
+        let (frame, tail) = tail.split_at_mut(len);
+        frames.push(frame);
+        rest = tail;
+    }
+    // Trailing pad field, exactly as pack_batch framed it: its length,
+    // then zeros up to the container's uniform size.
+    let pad = rest.len().saturating_sub(4);
+    // mig-lint: allow(enclave-panic, "pad < batch_frame_len < 4 GiB")
+    rest[..4].copy_from_slice(&u32::try_from(pad).expect("pad < 4 GiB").to_le_bytes());
+    seal_in_place(channel, cells, lanes, frames);
     out
 }
 
-/// Packs individually channel-sealed cells into one batch container —
-/// the two-pass framing [`seal_batch`] collapsed into a single pass.
+/// Packs individually sealed frames into one batch container — the
+/// two-pass framing [`seal_batch`] collapses into a single pass.
 /// Retained as the byte-layout oracle for `seal_batch` and the builder
 /// for `unpack_batch` tests.
 #[cfg(test)]
@@ -176,7 +343,7 @@ pub(crate) fn pack_batch(cells: &[Vec<u8>], cell: u32, batch: u32) -> Vec<u8> {
     w.finish()
 }
 
-/// Parses a `TRANSFER_BATCH` container into its sealed cells, in the
+/// Parses a `TRANSFER_BATCH` container into its sealed frames, in the
 /// order they were sealed. The framing is untrusted: cell counts
 /// outside `1..=`[`MAX_BATCH`] and truncation anywhere — including mid
 /// cell — are rejected before any AEAD work happens, so a malformed
@@ -200,6 +367,30 @@ pub fn unpack_batch(bytes: &[u8]) -> Result<Vec<&[u8]>, MigError> {
     let _pad = r.bytes().map_err(|_| framing.clone())?;
     r.finish().map_err(|_| framing)?;
     Ok(cells)
+}
+
+/// Opens the frames of one batch container at consecutive receive
+/// sequence numbers, fanned over `lanes` ([`SecureChannel::open_many`]).
+/// Returns the opened prefix — every frame before the first one that is
+/// malformed, fails its tag or does not decode — and whether that
+/// prefix is the whole container. Only the opened prefix consumes
+/// receive sequence numbers.
+pub(crate) fn open_batch<'a>(
+    channel: &mut SecureChannel,
+    frames: &[&'a [u8]],
+    lanes: u32,
+) -> (Vec<Opened<'a>>, bool) {
+    let cells: Vec<(&[u8], &'a [u8])> = frames.iter().map_while(|f| split_cell(f).ok()).collect();
+    let (headers, verified) = channel.open_many(&cells, lanes);
+    let mut opened = Vec::with_capacity(headers.len());
+    for (header, (_, body)) in headers.iter().zip(&cells) {
+        match Opened::decode(header, body) {
+            Ok(frame) => opened.push(frame),
+            Err(_) => return (opened, false),
+        }
+    }
+    let whole = verified && cells.len() == frames.len();
+    (opened, whole)
 }
 
 /// Per-destination adaptive chunk/window controller.
@@ -505,16 +696,86 @@ impl LinkShaper {
 mod tests {
     use super::*;
 
+    use crate::secure_channel::ChannelRole;
+
+    fn channels() -> (SecureChannel, SecureChannel) {
+        (
+            SecureChannel::new([9; 16], ChannelRole::Initiator),
+            SecureChannel::new([9; 16], ChannelRole::Responder),
+        )
+    }
+
     #[test]
     fn chunk_frame_len_matches_encoding() {
-        for (payload, pad) in [(0usize, 4096u32), (100, 3996), (4096, 0)] {
-            let frame = MeToMe::encode_chunk(&[1; 16], 0, &vec![7; payload], pad);
-            assert_eq!(frame.len(), chunk_frame_len(4096));
+        // A full chunk, a short final chunk and an empty one all make
+        // frames of the cell's chunk-frame length.
+        let stream = ChunkStream::new([1; 16], 4096, vec![7; 4096 + 100]);
+        for (idx, cell) in [(0u32, 4096u32), (1, 4096), (1, 8192)] {
+            let (mut tx, _) = channels();
+            let frame = seal_frames(&mut tx, &[chunk_cell(&stream, idx, cell)], 1).remove(0);
+            assert_eq!(frame.len(), chunk_frame_len(cell) + TAG_LEN);
         }
         // cell_for_frame_len inverts chunk_frame_len.
         for cell in [MIN_CHUNK_SIZE, 64 * 1024] {
             assert_eq!(cell_for_frame_len(chunk_frame_len(cell)).unwrap(), cell);
         }
+    }
+
+    #[test]
+    fn chunk_frames_open_to_their_payload() {
+        let payload: Vec<u8> = (0..5000u32).map(|i| i as u8).collect();
+        let stream = ChunkStream::new([4; 16], 4096, payload.clone());
+        let (mut tx, mut rx) = channels();
+        let cells = [chunk_cell(&stream, 0, 4096), chunk_cell(&stream, 1, 4096)];
+        let frames = seal_frames(&mut tx, &cells, 2);
+        for (idx, frame) in frames.iter().enumerate() {
+            // The body sits in the clear: payload, then zero pad.
+            let (_, body) = split_cell(frame).unwrap();
+            let chunk = stream.chunk(idx as u32);
+            assert_eq!(&body[..chunk.len()], chunk);
+            assert!(body[chunk.len()..].iter().all(|b| *b == 0));
+            let opened = open_frame(&mut rx, frame).unwrap();
+            assert_eq!(
+                opened.msg,
+                MeToMe::Chunk {
+                    nonce: [4; 16],
+                    idx: idx as u32,
+                    len: chunk.len() as u32
+                }
+            );
+            assert_eq!(opened.payload().unwrap(), chunk);
+        }
+    }
+
+    #[test]
+    fn messages_keep_their_frame_lengths_and_round_trip() {
+        let (mut tx, mut rx) = channels();
+        let ack = MeToMe::ChunkAck {
+            nonce: [8; 16],
+            upto: 8,
+        };
+        let frame = seal_msg(&mut tx, &ack);
+        assert_eq!(frame.len(), CTRL_FRAME_LEN + TAG_LEN);
+        let opened = open_frame(&mut rx, &frame).unwrap();
+        assert_eq!(opened.msg, ack);
+        assert!(opened.payload().is_err(), "only a chunk has a payload");
+    }
+
+    #[test]
+    fn split_cell_is_total_and_rejects_impossible_trailers() {
+        for len in 0..(TAG_LEN + CELL_TRAILER_LEN) {
+            assert!(split_cell(&vec![0; len]).is_err(), "len {len}");
+        }
+        let mut frame = vec![0u8; TAG_LEN + 10];
+        frame.extend_from_slice(&11u32.to_le_bytes());
+        assert!(split_cell(&frame).is_err(), "body would eat the tag");
+        frame.truncate(TAG_LEN + 10);
+        frame.extend_from_slice(&10u32.to_le_bytes());
+        let (sealed, body) = split_cell(&frame).unwrap();
+        assert_eq!((sealed.len(), body.len()), (TAG_LEN, 10));
+        frame.truncate(TAG_LEN + 10);
+        frame.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(split_cell(&frame).is_err());
     }
 
     #[test]
@@ -552,21 +813,55 @@ mod tests {
     }
 
     #[test]
-    fn seal_batch_matches_pack_batch_of_seal_many() {
-        use crate::secure_channel::ChannelRole;
+    fn seal_batch_matches_pack_batch_of_seal_frames() {
         let cell = MIN_CHUNK_SIZE;
-        let plaintexts: Vec<Vec<u8>> = (0..3u8).map(|i| vec![i; chunk_frame_len(cell)]).collect();
+        let stream = ChunkStream::new([3; 16], cell, vec![0xAB; 2 * cell as usize + 7]);
+        let cells: Vec<Cell<'_>> = (0..3).map(|i| chunk_cell(&stream, i, cell)).collect();
         for lanes in [1u32, 2, 4] {
-            // Two-pass oracle: seal the cells, then pack the ciphertexts.
-            let mut oracle = SecureChannel::new([9; 16], ChannelRole::Initiator);
-            let expected = pack_batch(&oracle.seal_many(&plaintexts, lanes), cell, 4);
+            // Two-pass oracle: seal the frames, then pack them.
+            let (mut oracle, _) = channels();
+            let expected = pack_batch(&seal_frames(&mut oracle, &cells, lanes), cell, 4);
             // Single-pass path under test: seal straight into the container.
-            let mut direct = SecureChannel::new([9; 16], ChannelRole::Initiator);
-            let container = seal_batch(&mut direct, &plaintexts, cell, 4, lanes);
+            let (mut direct, mut rx) = channels();
+            let container = seal_batch(&mut direct, &cells, cell, 4, lanes);
             assert_eq!(container, expected, "lanes={lanes}");
             assert_eq!(container.len(), batch_frame_len(cell, 4));
-            // And the receiver parses the sealed cells back out in order.
-            assert_eq!(unpack_batch(&container).unwrap().len(), 3);
+            // And the receiver opens the frames back out in order.
+            let frames = unpack_batch(&container).unwrap();
+            let (opened, whole) = open_batch(&mut rx, &frames, lanes);
+            assert!(whole);
+            let payloads: Vec<&[u8]> = opened.iter().map(|o| o.payload().unwrap()).collect();
+            assert_eq!(
+                payloads,
+                (0..3).map(|i| stream.chunk(i)).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn open_batch_keeps_the_prefix_before_a_bad_frame() {
+        let cell = MIN_CHUNK_SIZE;
+        let stream = ChunkStream::new([5; 16], cell, vec![0x3C; 3 * cell as usize]);
+        let cells: Vec<Cell<'_>> = (0..3).map(|i| chunk_cell(&stream, i, cell)).collect();
+        // A flipped body byte in the second frame, and a trailer that
+        // overruns the second frame: each keeps only the first frame.
+        for damage in [0usize, 1] {
+            let (mut tx, mut rx) = channels();
+            let mut frames = seal_frames(&mut tx, &cells, 1);
+            let n = frames[1].len();
+            if damage == 0 {
+                frames[1][n - 10] ^= 1;
+            } else {
+                frames[1][n - 1] = 0xFF;
+            }
+            let refs: Vec<&[u8]> = frames.iter().map(Vec::as_slice).collect();
+            let (opened, whole) = open_batch(&mut rx, &refs, 2);
+            assert!(!whole);
+            assert_eq!(opened.len(), 1, "damage {damage}");
+            // Only the opened frame consumed a sequence number.
+            let (mut tx2, _) = channels();
+            let again = seal_frames(&mut tx2, &cells, 1);
+            assert!(open_frame(&mut rx, &again[1]).is_ok());
         }
     }
 
@@ -622,15 +917,18 @@ mod tests {
             root: [9; 32],
             data,
         };
-        let mut frame = start.to_bytes();
-        pad_frame(&mut frame, chunk_frame_len(64 * 1024));
-        assert_eq!(frame.len(), chunk_frame_len(64 * 1024));
-        assert_eq!(MeToMe::from_bytes(&frame).unwrap(), start);
-        // A frame already above the target is untouched.
-        let mut big = start.to_bytes();
-        let natural = big.len();
-        pad_frame(&mut big, 10);
-        assert_eq!(big.len(), natural);
+        let (mut tx, mut rx) = channels();
+        let lead = lead_cell(&start, 64 * 1024);
+        let frame = seal_frames(&mut tx, &[lead], 1).remove(0);
+        assert_eq!(frame.len(), chunk_frame_len(64 * 1024) + TAG_LEN);
+        // The body is zero pad only; Table I is in the encrypted header.
+        let (_, body) = split_cell(&frame).unwrap();
+        assert!(!body.is_empty() && body.iter().all(|b| *b == 0));
+        assert_eq!(open_frame(&mut rx, &frame).unwrap().msg, start);
+        // A frame already above the target gets no pad.
+        let (header, body) = lead_cell(&start, 10);
+        assert!(body.is_empty());
+        assert_eq!(natural_frame_len(&start), header.len() + CELL_TRAILER_LEN);
     }
 
     fn demand(pending: u32, cost: u64) -> StreamDemand {

@@ -39,13 +39,17 @@
 //! the same destination interleave on one attested channel, each frame
 //! tagged by its [`TransferNonce`]; the channel's per-session sequence
 //! numbers keep the *interleaving itself* tamper-evident, and the root
-//! check at release rejects any cross-stream splice below it. The
-//! simulated network delivers smaller ciphertexts earlier, so every
-//! source→destination stream frame (`ChunkStart` / `DeltaStart` /
-//! `Chunk`) is padded to the destination link's current *wire cell* —
-//! frames of equal length stay FIFO — and the small
-//! destination→source control frames (`Delivered` / `Stored` /
-//! `ChunkAck` / `Resume` / `DeltaNack`) are padded to one uniform
+//! check at release rejects any cross-stream splice below it. Every
+//! [`MeToMe`] message travels as one channel *cell*: the encoding here
+//! ([`MeToMe::header`]) is the encrypted header, and the cell's public,
+//! authenticated body is a chunk's payload plus zero pad, or zero pad
+//! alone ([`MeToMe::body_pad`]; the frame layout is
+//! [`crate::me::wire`]'s). The simulated network delivers smaller
+//! ciphertexts earlier, so every source→destination stream frame
+//! (`ChunkStart` / `DeltaStart` / `Chunk`) is padded to the destination
+//! link's current *wire cell* — frames of equal length stay FIFO — and
+//! the small destination→source control frames (`Delivered` / `Stored`
+//! / `ChunkAck` / `Resume` / `DeltaNack`) are padded to one uniform
 //! [`CTRL_FRAME_LEN`] for the same reason.
 
 use crate::library::state::MigrationData;
@@ -53,10 +57,10 @@ use crate::transfer::chunker::TransferNonce;
 use crate::transfer::delta::DeltaManifest;
 
 /// Zero padding appended to `ResumeRequest` so its ciphertext is larger
-/// than any `RA_FINISH` frame (see encode comment).
+/// than any `RA_FINISH` frame (see [`MeToMe::body_pad`]).
 const RESUME_REQUEST_PAD: usize = 4096;
 
-use crate::me::wire::CTRL_FRAME_LEN;
+use crate::me::wire::{CELL_TRAILER_LEN, CTRL_FRAME_LEN};
 use sgx_sim::machine::MachineId;
 use sgx_sim::measurement::MrEnclave;
 use sgx_sim::wire::{WireReader, WireWriter};
@@ -316,18 +320,18 @@ pub enum MeToMe {
         /// The rejected delta transfer.
         nonce: TransferNonce,
     },
-    /// Source → destination: one chunk of the announced transfer.
+    /// Source → destination: one chunk of the announced transfer. The
+    /// header names the chunk; its payload is the first `len` bytes of
+    /// the cell's public body, the rest of which is zero pad equalizing
+    /// the wire size of all frames towards the destination.
     Chunk {
         /// The transfer this chunk belongs to.
         nonce: TransferNonce,
         /// Chunk index (strictly in-order delivery).
         idx: u32,
-        /// Chunk payload (exactly `chunk_size` bytes except the final
+        /// Payload length (exactly `chunk_size` bytes except the final
         /// chunk).
-        payload: Vec<u8>,
-        /// Zero-padding length equalizing the wire size of all chunks of
-        /// a transfer (keeps equal-size ciphertexts FIFO on the network).
-        pad: u32,
+        len: u32,
     },
     /// Destination → source: cumulative acknowledgement — every chunk
     /// with `idx < upto` has been verified and stored.
@@ -356,30 +360,20 @@ pub enum MeToMe {
 }
 
 impl MeToMe {
-    /// Serializes a [`MeToMe::Chunk`] directly from a borrowed payload
-    /// slice — the streaming hot path, avoiding the intermediate
-    /// per-chunk `Vec` a message-struct round trip would allocate. The
-    /// output is byte-identical to encoding the enum variant.
+    /// The encrypted header of a [`MeToMe::Chunk`] cell: tag, transfer
+    /// nonce, chunk index and payload length. The payload itself is the
+    /// cell's body.
     #[must_use]
-    pub fn encode_chunk(nonce: &TransferNonce, idx: u32, payload: &[u8], pad: u32) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u8(5);
-        w.array(nonce);
-        w.u32(idx);
-        w.bytes(payload);
-        w.bytes(&vec![0u8; pad as usize]);
+    pub fn chunk_header(nonce: &TransferNonce, idx: u32, len: u32) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(25);
+        w.u8(5).array(nonce).u32(idx).u32(len);
         w.finish()
     }
 
-    /// Pads a control frame up to [`CTRL_FRAME_LEN`] plaintext bytes.
-    fn ctrl_pad(w: &mut WireWriter) {
-        let pad = CTRL_FRAME_LEN.saturating_sub(w.len() + 4);
-        w.bytes(&vec![0u8; pad]);
-    }
-
-    /// Serializes the message (channel plaintext).
+    /// Serializes the message as its cell header — every field; the
+    /// zero pad goes in the body.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub fn header(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         match self {
             MeToMe::Transfer {
@@ -392,17 +386,16 @@ impl MeToMe {
                 w.array(&mr_enclave.0);
                 w.bytes(&data.to_bytes());
                 write_root(&mut w, root.as_ref());
-                w.bytes(state);
+                // The last field runs to the end of the header.
+                w.raw(state);
             }
             MeToMe::Delivered { mr_enclave } => {
                 w.u8(2);
                 w.array(&mr_enclave.0);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::Stored { mr_enclave } => {
                 w.u8(3);
                 w.array(&mr_enclave.0);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::ChunkStart {
                 mr_enclave,
@@ -421,17 +414,9 @@ impl MeToMe {
                 w.u32(*chunk_size);
                 w.array(root);
                 w.bytes(&data.to_bytes());
-                // Empty pad field; [`crate::me::wire::pad_frame`] grows it to the
-                // destination's wire cell before sealing.
-                w.bytes(&[]);
             }
-            MeToMe::Chunk {
-                nonce,
-                idx,
-                payload,
-                pad,
-            } => {
-                return Self::encode_chunk(nonce, *idx, payload, *pad);
+            MeToMe::Chunk { nonce, idx, len } => {
+                return Self::chunk_header(nonce, *idx, *len);
             }
             MeToMe::DeltaStart {
                 mr_enclave,
@@ -448,132 +433,122 @@ impl MeToMe {
                 w.array(root);
                 w.bytes(&manifest.to_bytes());
                 w.bytes(&data.to_bytes());
-                // Empty pad field; grown to the wire cell before sealing.
-                w.bytes(&[]);
             }
             MeToMe::DeltaNack { mr_enclave, nonce } => {
                 w.u8(10);
                 w.array(&mr_enclave.0);
                 w.array(nonce);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::ChunkAck { nonce, upto } => {
                 w.u8(6);
                 w.array(nonce);
                 w.u32(*upto);
-                Self::ctrl_pad(&mut w);
             }
             MeToMe::ResumeRequest { mr_enclave, nonce } => {
                 w.u8(7);
                 w.array(&mr_enclave.0);
                 w.array(nonce);
-                // Padded above the RA_FINISH frame size: the first
-                // post-handshake data frame must not overtake the
-                // handshake finish on the size-ordered simulated network
-                // (smaller messages arrive earlier within one step).
-                w.bytes(&[0u8; RESUME_REQUEST_PAD]);
             }
             MeToMe::Resume { nonce, from_idx } => {
                 w.u8(8);
                 w.array(nonce);
                 w.u32(*from_idx);
-                Self::ctrl_pad(&mut w);
             }
         }
         w.finish()
     }
 
-    /// Parses a message.
+    /// The zero pad this message's cell body carries on its own, given
+    /// its `header` length. Control frames pad up to one uniform
+    /// [`CTRL_FRAME_LEN`]; a `ResumeRequest` pads above the `RA_FINISH`
+    /// frame size, so the first post-handshake data frame cannot overtake
+    /// the handshake finish on the size-ordered simulated network (smaller
+    /// messages arrive earlier within one step). Stream frames get their
+    /// pad from the destination's wire cell instead
+    /// (`me::wire::lead_cell`), and a `Transfer` has none.
+    #[must_use]
+    pub fn body_pad(&self, header_len: usize) -> usize {
+        match self {
+            MeToMe::Delivered { .. }
+            | MeToMe::Stored { .. }
+            | MeToMe::DeltaNack { .. }
+            | MeToMe::ChunkAck { .. }
+            | MeToMe::Resume { .. } => CTRL_FRAME_LEN.saturating_sub(header_len + CELL_TRAILER_LEN),
+            MeToMe::ResumeRequest { .. } => RESUME_REQUEST_PAD,
+            MeToMe::Transfer { .. }
+            | MeToMe::ChunkStart { .. }
+            | MeToMe::DeltaStart { .. }
+            | MeToMe::Chunk { .. } => 0,
+        }
+    }
+
+    /// Parses a cell header.
     ///
     /// # Errors
     ///
     /// [`SgxError::Decode`] on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SgxError> {
+    pub fn from_header(bytes: &[u8]) -> Result<Self, SgxError> {
         let mut r = WireReader::new(bytes);
         let msg = match r.u8()? {
-            1 => MeToMe::Transfer {
+            1 => {
+                let mr_enclave = MrEnclave(r.array()?);
+                let data = MigrationData::from_bytes(r.bytes()?)?;
+                let root = read_root(&mut r)?;
+                let state = bytes
+                    .get(bytes.len() - r.remaining()..)
+                    .ok_or(SgxError::Decode)?
+                    .to_vec();
+                return Ok(MeToMe::Transfer {
+                    mr_enclave,
+                    data,
+                    root,
+                    state,
+                });
+            }
+            2 => MeToMe::Delivered {
                 mr_enclave: MrEnclave(r.array()?),
-                data: MigrationData::from_bytes(r.bytes()?)?,
-                root: read_root(&mut r)?,
-                state: r.bytes_vec()?,
             },
-            2 => {
-                let msg = MeToMe::Delivered {
-                    mr_enclave: MrEnclave(r.array()?),
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            3 => {
-                let msg = MeToMe::Stored {
-                    mr_enclave: MrEnclave(r.array()?),
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            4 => {
-                let msg = MeToMe::ChunkStart {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                    generation: r.u64()?,
-                    total_len: r.u64()?,
-                    chunk_size: r.u32()?,
-                    root: r.array()?,
-                    data: MigrationData::from_bytes(r.bytes()?)?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
+            3 => MeToMe::Stored {
+                mr_enclave: MrEnclave(r.array()?),
+            },
+            4 => MeToMe::ChunkStart {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+                generation: r.u64()?,
+                total_len: r.u64()?,
+                chunk_size: r.u32()?,
+                root: r.array()?,
+                data: MigrationData::from_bytes(r.bytes()?)?,
+            },
             5 => MeToMe::Chunk {
                 nonce: r.array()?,
                 idx: r.u32()?,
-                payload: r.bytes_vec()?,
-                pad: u32::try_from(r.bytes()?.len()).map_err(|_| SgxError::Decode)?,
+                len: r.u32()?,
             },
-            6 => {
-                let msg = MeToMe::ChunkAck {
-                    nonce: r.array()?,
-                    upto: r.u32()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            7 => {
-                let msg = MeToMe::ResumeRequest {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            8 => {
-                let msg = MeToMe::Resume {
-                    nonce: r.array()?,
-                    from_idx: r.u32()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            9 => {
-                let msg = MeToMe::DeltaStart {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                    chunk_size: r.u32()?,
-                    root: r.array()?,
-                    manifest: DeltaManifest::from_bytes(r.bytes()?)?,
-                    data: MigrationData::from_bytes(r.bytes()?)?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
-            10 => {
-                let msg = MeToMe::DeltaNack {
-                    mr_enclave: MrEnclave(r.array()?),
-                    nonce: r.array()?,
-                };
-                let _pad = r.bytes()?;
-                msg
-            }
+            6 => MeToMe::ChunkAck {
+                nonce: r.array()?,
+                upto: r.u32()?,
+            },
+            7 => MeToMe::ResumeRequest {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+            },
+            8 => MeToMe::Resume {
+                nonce: r.array()?,
+                from_idx: r.u32()?,
+            },
+            9 => MeToMe::DeltaStart {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+                chunk_size: r.u32()?,
+                root: r.array()?,
+                manifest: DeltaManifest::from_bytes(r.bytes()?)?,
+                data: MigrationData::from_bytes(r.bytes()?)?,
+            },
+            10 => MeToMe::DeltaNack {
+                mr_enclave: MrEnclave(r.array()?),
+                nonce: r.array()?,
+            },
             _ => return Err(SgxError::Decode),
         };
         r.finish()?;
@@ -688,8 +663,7 @@ mod tests {
             MeToMe::Chunk {
                 nonce: [8; 16],
                 idx: 7,
-                payload: vec![1, 2, 3],
-                pad: 5,
+                len: 3,
             },
             MeToMe::ChunkAck {
                 nonce: [8; 16],
@@ -705,41 +679,23 @@ mod tests {
             },
         ];
         for msg in msgs {
-            assert_eq!(MeToMe::from_bytes(&msg.to_bytes()).unwrap(), msg);
+            assert_eq!(MeToMe::from_header(&msg.header()).unwrap(), msg);
         }
     }
 
     #[test]
-    fn chunk_padding_equalizes_wire_size() {
-        // A full chunk with no padding and a short final chunk padded up
-        // must serialize to the same number of bytes.
-        let full = MeToMe::Chunk {
-            nonce: [1; 16],
-            idx: 0,
-            payload: vec![7; 100],
-            pad: 0,
-        };
-        let tail = MeToMe::Chunk {
-            nonce: [1; 16],
-            idx: 1,
-            payload: vec![7; 33],
-            pad: 67,
-        };
-        assert_eq!(full.to_bytes().len(), tail.to_bytes().len());
-    }
-
-    #[test]
-    fn borrowed_encoders_match_variant_encoding() {
+    fn chunk_header_is_fixed_size_and_matches_variant_encoding() {
+        // Every chunk header is the same 25 bytes, whatever the payload
+        // length, so a full chunk and a short final chunk padded up to
+        // the same body length make frames of one size.
         let chunk = MeToMe::Chunk {
             nonce: [1; 16],
             idx: 3,
-            payload: vec![9; 50],
-            pad: 14,
+            len: 50,
         };
-        assert_eq!(
-            chunk.to_bytes(),
-            MeToMe::encode_chunk(&[1; 16], 3, &[9; 50], 14)
-        );
+        assert_eq!(chunk.header(), MeToMe::chunk_header(&[1; 16], 3, 50));
+        assert_eq!(MeToMe::chunk_header(&[1; 16], 0, 0).len(), 25);
+        assert_eq!(MeToMe::chunk_header(&[1; 16], 9, u32::MAX).len(), 25);
     }
 
     #[test]
@@ -776,38 +732,63 @@ mod tests {
         let frames = [
             MeToMe::Delivered {
                 mr_enclave: MrEnclave([5; 32]),
-            }
-            .to_bytes(),
+            },
             MeToMe::Stored {
                 mr_enclave: MrEnclave([6; 32]),
-            }
-            .to_bytes(),
+            },
             MeToMe::ChunkAck {
                 nonce: [8; 16],
                 upto: 8,
-            }
-            .to_bytes(),
+            },
             MeToMe::Resume {
                 nonce: [8; 16],
                 from_idx: 3,
-            }
-            .to_bytes(),
+            },
             MeToMe::DeltaNack {
                 mr_enclave: MrEnclave([5; 32]),
                 nonce: [8; 16],
-            }
-            .to_bytes(),
+            },
         ];
-        for frame in &frames {
-            assert_eq!(frame.len(), CTRL_FRAME_LEN, "control frames are uniform");
+        for msg in &frames {
+            let header = msg.header().len();
+            assert_eq!(
+                header + msg.body_pad(header) + CELL_TRAILER_LEN,
+                CTRL_FRAME_LEN,
+                "control frames are uniform"
+            );
         }
+    }
+
+    #[test]
+    fn cell_headers_keep_their_frames_lengths() {
+        // Moving the pad out of the encrypted header keeps each frame's
+        // length: the pad-length field the plaintext used to carry is the
+        // cell's trailer now, and a Transfer's container (its last field)
+        // runs to the end of the header instead of carrying a prefix.
+        let resume = MeToMe::ResumeRequest {
+            mr_enclave: MrEnclave([5; 32]),
+            nonce: [8; 16],
+        };
+        let header = resume.header().len();
+        assert_eq!(header, 1 + 32 + 16);
+        assert_eq!(resume.body_pad(header), RESUME_REQUEST_PAD);
+        let transfer = |state: Vec<u8>| MeToMe::Transfer {
+            mr_enclave: MrEnclave([5; 32]),
+            data: data(),
+            root: Some([4; 32]),
+            state,
+        };
+        let empty = transfer(Vec::new()).header().len();
+        assert_eq!(transfer(vec![1; 100]).header().len(), empty + 100);
+        assert_eq!(transfer(Vec::new()).body_pad(empty), 0);
     }
 
     #[test]
     fn unknown_tags_rejected() {
         assert!(LibToMe::from_bytes(&[9]).is_err());
         assert!(MeToLib::from_bytes(&[9]).is_err());
-        assert!(MeToMe::from_bytes(&[9]).is_err());
+        assert!(MeToMe::from_header(&[11]).is_err());
+        assert!(MeToMe::from_header(&[]).is_err());
     }
 
     #[test]
@@ -815,5 +796,12 @@ mod tests {
         let mut bytes = LibToMe::Done.to_bytes();
         bytes.push(0);
         assert!(LibToMe::from_bytes(&bytes).is_err());
+        let mut header = MeToMe::ChunkAck {
+            nonce: [8; 16],
+            upto: 8,
+        }
+        .header();
+        header.push(0);
+        assert!(MeToMe::from_header(&header).is_err());
     }
 }

@@ -136,6 +136,88 @@ impl ChunkStream {
     }
 }
 
+/// The public, authenticated-only **body** of an ME↔ME channel cell:
+/// bytes of a [`ChunkStream`] payload followed by zero pad, or zero pad
+/// alone.
+///
+/// A cell encrypts only its small header (message tag, transfer nonce,
+/// chunk index and lengths, or a whole announcement with Table I) and
+/// authenticates its body without encrypting it
+/// ([`crate::secure_channel::SecureChannel::seal_cell`]). The body
+/// is therefore visible on the wire, and this type is the only way to
+/// build one: its constructors take a chunk of a stream (the container
+/// ciphertext the source ME checked against its root, or packed pages
+/// of that container for a delta) or a pad length. Table I, the MSK and
+/// every other secret can only travel in a header.
+#[derive(Clone, Copy)]
+pub struct CellBody<'a> {
+    payload: &'a [u8],
+    pad: usize,
+}
+
+impl CellBody<'static> {
+    /// The empty body: a cell that is all header, sealed exactly like a
+    /// plain channel message.
+    pub const EMPTY: CellBody<'static> = CellBody {
+        payload: &[],
+        pad: 0,
+    };
+
+    /// A body of `len` zero bytes (the traffic-shaping pad of a frame
+    /// that carries no chunk).
+    #[must_use]
+    pub fn zero_pad(len: usize) -> Self {
+        CellBody {
+            payload: &[],
+            pad: len,
+        }
+    }
+}
+
+impl<'a> CellBody<'a> {
+    /// Chunk `idx` of `stream`, zero-padded up to `cell` bytes (a chunk
+    /// already at or above `cell` is not padded).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range index (caller bug, as
+    /// [`ChunkStream::chunk`]).
+    #[must_use]
+    pub fn chunk(stream: &'a ChunkStream, idx: u32, cell: u32) -> Self {
+        let payload = stream.chunk(idx);
+        CellBody {
+            payload,
+            pad: (cell as usize).saturating_sub(payload.len()),
+        }
+    }
+
+    /// Body length in bytes (payload plus pad).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.payload.len() + self.pad
+    }
+
+    /// Whether the body is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Length of the chunk payload at the front of the body.
+    #[must_use]
+    pub fn payload_len(&self) -> usize {
+        self.payload.len()
+    }
+
+    /// Writes the body's bytes — payload, then zero pad — into `out`,
+    /// which is exactly [`CellBody::len`] bytes.
+    pub(crate) fn write_into(&self, out: &mut [u8]) {
+        let (payload, pad) = out.split_at_mut(self.payload.len());
+        payload.copy_from_slice(self.payload);
+        pad.fill(0);
+    }
+}
+
 /// Destination side: in-order reassembly, serializable for crash-safe
 /// persistence.
 pub struct ChunkAssembler {

@@ -130,13 +130,33 @@ impl AesGcm {
         plaintext: &[u8],
         out: &mut Vec<u8>,
     ) {
-        let j0 = self.j0(nonce);
         out.reserve(plaintext.len() + TAG_LEN);
         let ct_start = out.len();
         out.extend_from_slice(plaintext);
-        self.ctr(inc32(j0), &mut out[ct_start..]);
-        let tag = self.tag(j0, aad, &out[ct_start..]);
+        let tag = self.seal_split_in_place(nonce, aad, &[], &mut out[ct_start..]);
         out.extend_from_slice(&tag);
+    }
+
+    /// Encrypts `buf` in place and returns the tag over the additional
+    /// data `aad ‖ body` — the **split-AAD** seal. `body` is authenticated
+    /// but neither encrypted nor copied, so a caller whose message is a
+    /// small secret header beside a large public body pays CTR only on
+    /// the header and a single GHASH pass over the body.
+    ///
+    /// `ciphertext ‖ tag` is byte-identical to
+    /// [`AesGcm::seal`]`(nonce, aad ‖ body, buf)`: the split only saves
+    /// the caller from concatenating the two AAD parts.
+    #[must_use]
+    pub fn seal_split_in_place(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        body: &[u8],
+        buf: &mut [u8],
+    ) -> [u8; TAG_LEN] {
+        let j0 = self.j0(nonce);
+        self.ctr(inc32(j0), buf);
+        self.tag(j0, [aad, body], buf)
     }
 
     /// Decrypts `sealed` (= `ciphertext || tag`) bound to `aad`.
@@ -147,12 +167,33 @@ impl AesGcm {
     /// tag, and [`CryptoError::AuthenticationFailed`] if the tag does not
     /// verify (wrong key, nonce, AAD, or tampered ciphertext).
     pub fn open(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>> {
+        self.open_split(nonce, aad, &[], sealed)
+    }
+
+    /// Decrypts `sealed` (= `ciphertext || tag`) whose tag covers the
+    /// additional data `aad ‖ body` — the inverse of
+    /// [`AesGcm::seal_split_in_place`]. The tag is checked over the
+    /// borrowed `body` before anything is decrypted, and only the
+    /// ciphertext (the small header) is decrypted.
+    ///
+    /// # Errors
+    ///
+    /// As [`AesGcm::open`]: [`CryptoError::InvalidLength`] below a tag,
+    /// [`CryptoError::AuthenticationFailed`] when any bit of `aad`,
+    /// `body`, the ciphertext or the tag differs from what was sealed.
+    pub fn open_split(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        aad: &[u8],
+        body: &[u8],
+        sealed: &[u8],
+    ) -> Result<Vec<u8>> {
         if sealed.len() < TAG_LEN {
             return Err(CryptoError::InvalidLength);
         }
         let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
         let j0 = self.j0(nonce);
-        let expected = self.tag(j0, aad, ciphertext);
+        let expected = self.tag(j0, [aad, body], ciphertext);
         if !ct_eq(&expected, tag) {
             return Err(CryptoError::AuthenticationFailed);
         }
@@ -193,13 +234,15 @@ impl AesGcm {
         }
     }
 
-    /// GHASH over `aad` and `ciphertext`, then encrypted with `E(K, J0)`.
-    fn tag(&self, j0: [u8; BLOCK_LEN], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
+    /// GHASH over the additional data `aad[0] ‖ aad[1]` and
+    /// `ciphertext`, then encrypted with `E(K, J0)`.
+    fn tag(&self, j0: [u8; BLOCK_LEN], aad: [&[u8]; 2], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let mut y = 0u128;
-        y = self.ghash_blocks(y, aad);
+        y = self.ghash_concat(y, aad);
         y = self.ghash_blocks(y, ciphertext);
+        let aad_len = (aad[0].len() + aad[1].len()) as u64;
         let mut len_block = [0u8; BLOCK_LEN];
-        len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
+        len_block[..8].copy_from_slice(&(aad_len * 8).to_be_bytes());
         len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
         y = gf_mul_8bit(y ^ u128::from_be_bytes(len_block), &self.htable);
 
@@ -209,6 +252,27 @@ impl AesGcm {
             *t ^= k;
         }
         tag
+    }
+
+    /// Absorbs `parts[0] ‖ parts[1]` as one GHASH input, zero-padded to
+    /// a block boundary only at its end. The block that straddles the two
+    /// parts is assembled in a scratch block; the rest of each part runs
+    /// through the two-blocks-at-a-time [`Self::ghash_blocks`] fold in
+    /// place, so a large second part is never copied.
+    fn ghash_concat(&self, mut y: u128, parts: [&[u8]; 2]) -> u128 {
+        let [first, mut second] = parts;
+        let whole = first.len() - first.len() % BLOCK_LEN;
+        y = self.ghash_blocks(y, &first[..whole]);
+        let tail = &first[whole..];
+        if !tail.is_empty() {
+            let take = (BLOCK_LEN - tail.len()).min(second.len());
+            let mut block = [0u8; BLOCK_LEN];
+            block[..tail.len()].copy_from_slice(tail);
+            block[tail.len()..tail.len() + take].copy_from_slice(&second[..take]);
+            y = gf_mul_8bit(y ^ u128::from_be_bytes(block), &self.htable);
+            second = &second[take..];
+        }
+        self.ghash_blocks(y, second)
     }
 
     /// Absorbs `data` (zero-padded to full blocks) into the GHASH state,
@@ -683,6 +747,59 @@ mod tests {
             // exact bytes of the byte-serial implementation they replaced.
             let aead = AesGcm::new(key);
             prop_assert_eq!(aead.seal(&nonce, &aad, &pt), seal_old(key, &nonce, &aad, &pt));
+        }
+
+        #[test]
+        fn prop_split_aad_seal_matches_seal_over_concatenated_aad(
+            key in any::<[u8; 16]>(),
+            nonce in any::<[u8; 12]>(),
+            aad in proptest::collection::vec(any::<u8>(), 0..48),
+            body in proptest::collection::vec(any::<u8>(), 0..600),
+            header in proptest::collection::vec(any::<u8>(), 0..80),
+        ) {
+            // Wire-format pin: the split-AAD seal is exactly GCM over
+            // AAD = aad ‖ body, whatever the lengths' block alignment
+            // (the straddling block is assembled across the two parts).
+            let aead = AesGcm::new(key);
+            let expected = aead.seal(&nonce, &[&aad[..], &body[..]].concat(), &header);
+            let mut buf = header.clone();
+            let tag = aead.seal_split_in_place(&nonce, &aad, &body, &mut buf);
+            buf.extend_from_slice(&tag);
+            prop_assert_eq!(&buf, &expected);
+            prop_assert_eq!(aead.open_split(&nonce, &aad, &body, &buf).unwrap(), header);
+            // The concatenation is all that is authenticated: moving the
+            // split point between the two AAD parts opens the same bytes.
+            let cut = aad.len() / 2;
+            let shifted = [&aad[cut..], &body[..]].concat();
+            prop_assert!(aead.open_split(&nonce, &aad[..cut], &shifted, &buf).is_ok());
+        }
+
+        #[test]
+        fn prop_split_open_rejects_any_flipped_bit(
+            key in any::<[u8; 16]>(),
+            body in proptest::collection::vec(any::<u8>(), 1..300),
+            header in proptest::collection::vec(any::<u8>(), 1..40),
+            pick in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            let aead = AesGcm::new(key);
+            let nonce = [4u8; 12];
+            let mut sealed = header.clone();
+            let tag = aead.seal_split_in_place(&nonce, b"aad", &body, &mut sealed);
+            sealed.extend_from_slice(&tag);
+            // One flipped bit anywhere in the encrypted header, the tag or
+            // the authenticated body is refused.
+            let at = pick % (sealed.len() + body.len());
+            let (mut sealed_bad, mut body_bad) = (sealed.clone(), body.clone());
+            if at < sealed.len() {
+                sealed_bad[at] ^= 1 << bit;
+            } else {
+                body_bad[at - sealed.len()] ^= 1 << bit;
+            }
+            prop_assert_eq!(
+                aead.open_split(&nonce, b"aad", &body_bad, &sealed_bad).unwrap_err(),
+                CryptoError::AuthenticationFailed
+            );
         }
     }
 }

@@ -384,9 +384,11 @@ pub fn no_wildcard_fsm(f: &SourceFile) -> Vec<RawViolation> {
 }
 
 /// **wire-framing** — MeToMe frames must be built by `me/wire.rs` alone
-/// (`seal_chunk` / `seal_lead`), which centralizes cell padding and
-/// length framing. Direct use of the low-level primitives or hand-sealed
-/// frame payloads elsewhere bypasses the traffic-shape guarantees.
+/// (`chunk_cell` / `lead_cell` / `seal_msg`), which centralizes cell
+/// padding, the header/body split and length framing. Direct use of the
+/// low-level primitives (chunk headers, pad bodies) or hand-sealed frame
+/// payloads elsewhere bypasses the traffic-shape guarantees and the rule
+/// that only chunk bytes and zero pad travel as a public cell body.
 pub fn wire_framing(f: &SourceFile) -> Vec<RawViolation> {
     let in_core = f.rel_path.starts_with("crates/core/")
         && !f.rel_path.ends_with("me/wire.rs")
@@ -400,7 +402,7 @@ pub fn wire_framing(f: &SourceFile) -> Vec<RawViolation> {
     // `cell_for_frame_len` is deliberately not flagged: it is a pure
     // size query (the shaper budgets cells with it); only the
     // frame-*building* primitives are restricted to wire.rs.
-    for prim in ["encode_chunk", "pad_frame"] {
+    for prim in ["encode_chunk", "pad_frame", "chunk_header", "zero_pad"] {
         for pos in find_word(text, prim) {
             if bytes.get(pos + prim.len()) != Some(&b'(') || f.in_test(pos) {
                 continue;
@@ -417,23 +419,25 @@ pub fn wire_framing(f: &SourceFile) -> Vec<RawViolation> {
             });
         }
     }
-    let mut from = 0usize;
-    while let Some(pos) = find_from(text, from, ".seal(") {
-        from = pos + 1;
-        if f.in_test(pos) {
-            continue;
-        }
-        let open = pos + ".seal".len();
-        let close = match_paren(bytes, open).unwrap_or(bytes.len().saturating_sub(1));
-        let args = &text[open..close.min(text.len())];
-        if ["ChunkStart", "DeltaStart", "encode_chunk"]
-            .iter()
-            .any(|w| !find_word(args, w).is_empty())
-        {
-            out.push(RawViolation {
-                rule: "wire-framing",
-                offset: pos + 1,
-            });
+    for call in [".seal(", ".seal_cell(", ".seal_many("] {
+        let mut from = 0usize;
+        while let Some(pos) = find_from(text, from, call) {
+            from = pos + 1;
+            if f.in_test(pos) {
+                continue;
+            }
+            let open = pos + call.len() - 1;
+            let close = match_paren(bytes, open).unwrap_or(bytes.len().saturating_sub(1));
+            let args = &text[open..close.min(text.len())];
+            if ["ChunkStart", "DeltaStart", "encode_chunk", "chunk_header"]
+                .iter()
+                .any(|w| !find_word(args, w).is_empty())
+            {
+                out.push(RawViolation {
+                    rule: "wire-framing",
+                    offset: pos + 1,
+                });
+            }
         }
     }
     out

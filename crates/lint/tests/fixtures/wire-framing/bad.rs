@@ -14,3 +14,11 @@ pub fn send_announce(ch: &mut Channel, total: u32) -> Vec<u8> {
 pub fn send_chunk(stream: &Stream, idx: u32, buf: &mut Vec<u8>) {
     encode_chunk(stream, idx, buf);
 }
+
+pub fn send_chunk_cell(ch: &mut Channel, nonce: &Nonce, body: CellBody) -> Vec<u8> {
+    ch.seal_cell(&MeToMe::chunk_header(nonce, 0, 4096), body)
+}
+
+pub fn send_pad(ch: &mut Channel, header: &[u8], outs: &mut [&mut [u8]]) {
+    ch.seal_many(&[(header, CellBody::zero_pad(4096))], 1, outs);
+}

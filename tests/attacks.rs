@@ -1205,3 +1205,258 @@ fn tampered_delta_manifest_rejected_before_any_page_applied() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Cell open: a stream cell's public body and encrypted header
+// ---------------------------------------------------------------------
+
+/// How the adversary alters one stream cell on the wire.
+#[derive(Clone, Copy, Debug)]
+enum CellAttack {
+    /// (a) Flip a byte of the public body (container ciphertext).
+    BodyFlip,
+    /// (b) Flip a byte of the encrypted header.
+    HeaderFlip,
+    /// (c) Put the body of an earlier cell of the same stream under this
+    /// cell's header and tag.
+    SwapWithinStream,
+    /// (d) Put the body of a cell of the other concurrent stream under
+    /// this cell's header and tag.
+    SwapAcrossStreams,
+}
+
+/// Byte ranges of the stream frames inside one ME↔ME host frame
+/// (`[tag][u32 len][payload]`): the payload itself on the per-frame
+/// path, each length-prefixed frame of the container on the batched
+/// path.
+fn stream_frame_ranges(payload: &[u8], batched: bool) -> Vec<std::ops::Range<usize>> {
+    if !batched {
+        return std::iter::once(5..payload.len()).collect();
+    }
+    let container = &payload[5..];
+    let frames = mig_core::me::wire::unpack_batch(container).expect("genuine container");
+    let mut at = 5 + 4;
+    frames
+        .iter()
+        .map(|f| {
+            let range = at + 4..at + 4 + f.len();
+            at = range.end;
+            range
+        })
+        .collect()
+}
+
+/// A stream cell's public body (behind header and tag, before the
+/// trailer) as a range of its frame.
+fn body_range(frame: &[u8]) -> std::ops::Range<usize> {
+    let (_, body) = mig_core::me::wire::split_cell(frame).expect("genuine frame");
+    let end = frame.len() - 4;
+    end - body.len()..end
+}
+
+/// Every stream cell a kvstore sends is refused at cell open when the
+/// adversary flips a byte of its public body (a) or of its encrypted
+/// header (b), or swaps its body for another cell's of the same stream
+/// (c) or of the other concurrent stream (d) — on the per-frame
+/// `TRANSFER` path and on the `TRANSFER_BATCH` path (batch 4). The body
+/// is authenticated with the header under the cell's sequence number, so
+/// none of these reaches a stream: the destination installs no altered
+/// byte, quarantines no stream (the refused cell never named one), and
+/// counts no chunk at or behind the refused cell. One resume then
+/// releases both streams byte-exactly.
+#[test]
+fn tampered_or_moved_cell_bodies_and_headers_are_refused_at_cell_open() {
+    use cloud_sim::network::{Envelope, TapAction};
+    use mig_apps::kvstore::{self, ops as kv_ops, KvStore};
+    use mig_core::host::{tags, AppStatus};
+    use mig_core::transfer::TransferConfig;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
+
+    const CHUNK: usize = 64 * 1024;
+    let image_a = EnclaveImage::build("cell-a", 1, b"kv", &EnclaveSigner::from_seed([40; 32]));
+    let image_b = EnclaveImage::build("cell-b", 1, b"kv", &EnclaveSigner::from_seed([41; 32]));
+    let attacks = [
+        CellAttack::BodyFlip,
+        CellAttack::HeaderFlip,
+        CellAttack::SwapWithinStream,
+        CellAttack::SwapAcrossStreams,
+    ];
+    for (batch, tag) in [(1u32, tags::RA_TRANSFER), (4, tags::RA_TRANSFER_BATCH)] {
+        for (n, attack) in attacks.into_iter().enumerate() {
+            let case = format!("batch {batch}, {attack:?}");
+            let config = TransferConfig {
+                stream_threshold: 4096,
+                chunk_size: CHUNK as u32,
+                window: 8,
+                max_window: 8,
+                batch_size: batch,
+                ..TransferConfig::default()
+            };
+            let mut dc = Datacenter::new(400 + n as u64 + 10 * u64::from(batch));
+            let policy = MigrationPolicy::same_operator_only();
+            let m1 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
+            let m2 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
+            let mut containers = Vec::new();
+            for (app, dst, image, entries) in [
+                ("a", "a-dst", &image_a, 512u32),
+                ("b", "b-dst", &image_b, 256),
+            ] {
+                dc.deploy_app(app, m1, image, KvStore::new(), InitRequest::New)
+                    .unwrap();
+                dc.call_app(app, kv_ops::INIT, &[]).unwrap();
+                dc.call_app(
+                    app,
+                    kv_ops::BULK_PUT,
+                    &kvstore::encode_bulk_put(entries, 4096, 0x61),
+                )
+                .unwrap();
+                containers.push(dc.app_bulk_state(app).unwrap().expect("staged container"));
+                dc.deploy_app(dst, m2, image, KvStore::new(), InitRequest::Migrate)
+                    .unwrap();
+            }
+
+            // The adversary tells the streams apart by matching a body
+            // against the (public) containers chunk by chunk, and keeps
+            // every chunk body it saw, per stream.
+            let stream_of = {
+                let containers = containers.clone();
+                move |body: &[u8]| -> Option<(usize, usize)> {
+                    containers.iter().enumerate().find_map(|(s, c)| {
+                        (0..c.len().div_ceil(CHUNK)).find_map(|idx| {
+                            let chunk = &c[idx * CHUNK..c.len().min((idx + 1) * CHUNK)];
+                            body.starts_with(chunk).then_some((s, idx))
+                        })
+                    })
+                }
+            };
+            // (stream, body) of every chunk cell the adversary saw.
+            type Seen = Vec<(usize, Vec<u8>)>;
+            let seen: Arc<Mutex<Seen>> = Arc::default();
+            let fired = Arc::new(Mutex::new(false));
+            {
+                let seen = Arc::clone(&seen);
+                let fired = Arc::clone(&fired);
+                dc.world_mut()
+                    .network_mut()
+                    .add_tap(Box::new(move |e: &Envelope| {
+                        if e.from.machine != m1
+                            || e.to.machine != m2
+                            || e.from.service != "me"
+                            || e.payload.first() != Some(&tag)
+                        {
+                            return TapAction::Deliver;
+                        }
+                        let mut payload = e.payload.clone();
+                        let mut seen = seen.lock();
+                        let mut fired = fired.lock();
+                        for range in stream_frame_ranges(&e.payload, batch > 1) {
+                            let frame = &e.payload[range.clone()];
+                            let body = body_range(frame);
+                            let Some((stream, idx)) = stream_of(&frame[body.clone()]) else {
+                                continue;
+                            };
+                            // The first chunk of stream 1 past its second
+                            // is the target, once both streams have
+                            // been seen.
+                            let ready = stream == 1
+                                && idx >= 2
+                                && seen.iter().any(|(s, _)| *s == 0)
+                                && !*fired;
+                            if !ready {
+                                seen.push((stream, frame[body].to_vec()));
+                                continue;
+                            }
+                            *fired = true;
+                            let at = range.start;
+                            let donor = |s: usize| {
+                                seen.iter()
+                                    .find(|(owner, b)| {
+                                        *owner == s
+                                            && b.len() == body.len()
+                                            && b[..] != frame[body.clone()]
+                                    })
+                                    .map(|(_, b)| b.clone())
+                                    .expect("a donor body of the same cell size")
+                            };
+                            match attack {
+                                CellAttack::BodyFlip => {
+                                    payload[at + body.start + body.len() / 2] ^= 0x20;
+                                }
+                                CellAttack::HeaderFlip => payload[at] ^= 0x01,
+                                CellAttack::SwapWithinStream => {
+                                    let donor = donor(1);
+                                    payload[at + body.start..at + body.end].copy_from_slice(&donor);
+                                }
+                                CellAttack::SwapAcrossStreams => {
+                                    let donor = donor(0);
+                                    payload[at + body.start..at + body.end].copy_from_slice(&donor);
+                                }
+                            }
+                            return TapAction::Replace(payload);
+                        }
+                        TapAction::Deliver
+                    }));
+            }
+
+            for app in ["a", "b"] {
+                let host = dc.app(app);
+                host.lock()
+                    .migrate_to(dc.world_mut().network_mut(), m2)
+                    .unwrap();
+            }
+            dc.run();
+            assert!(*fired.lock(), "{case}: the attack fired");
+            let telemetry = dc.fleet_telemetry().unwrap();
+            let counter = |name: &str| telemetry.counters.get(name).copied().unwrap_or(0);
+            assert_eq!(
+                counter("me.quarantines"),
+                0,
+                "{case}: refused at cell open, before any stream was named"
+            );
+            let total: u64 = containers
+                .iter()
+                .map(|c| c.len().div_ceil(CHUNK) as u64)
+                .sum();
+            assert!(
+                counter("me.chunks_received") < total,
+                "{case}: nothing at or behind the refused cell is counted"
+            );
+            for dst in ["a-dst", "b-dst"] {
+                assert_eq!(
+                    dc.app(dst).lock().status(),
+                    AppStatus::AwaitingIncoming,
+                    "{case}: {dst} stalls instead of installing"
+                );
+            }
+            if batch == 1 {
+                let errors = dc.me_host(m2).lock().errors.clone();
+                assert!(
+                    errors.iter().any(|e| e.contains("ra transfer")),
+                    "{case}: the refused frame surfaces as a transfer error: {errors:?}"
+                );
+            }
+
+            // One retry renegotiates both streams; both arrive exactly.
+            dc.resume_migration("a", "a-dst").unwrap();
+            for (dst, entries, container) in [
+                ("a-dst", 512u32, &containers[0]),
+                ("b-dst", 256, &containers[1]),
+            ] {
+                assert_eq!(
+                    dc.app(dst).lock().status(),
+                    AppStatus::Ready,
+                    "{case}: {dst}"
+                );
+                let state = dc.app_bulk_state(dst).unwrap().expect("migrated state");
+                assert_eq!(
+                    &state, container,
+                    "{case}: {dst} holds the genuine container"
+                );
+                dc.call_app(dst, kv_ops::LOAD, &state).unwrap();
+                let len = dc.call_app(dst, kv_ops::LEN, &[]).unwrap();
+                assert_eq!(u32::from_le_bytes(len[..4].try_into().unwrap()), entries);
+            }
+        }
+    }
+}

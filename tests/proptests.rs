@@ -468,8 +468,9 @@ proptest! {
 
     /// Delta-checkpoint correctness: for any base state, any dirty-byte
     /// pattern, and any growth/shrink of the state,
-    /// `apply(restore(g), delta_since(g)) == restore(latest)` — and the
-    /// delta payload survives the chunker unchanged.
+    /// `apply(restore(g), diff(digests(restore(g)), restore(latest))) ==
+    /// restore(latest)` — and the delta payload survives the chunker
+    /// unchanged.
     #[test]
     fn delta_checkpoints_reconstruct_latest(
         base in proptest::collection::vec(any::<u8>(), 1..40_000),
@@ -482,7 +483,7 @@ proptest! {
     ) {
         use cloud_sim::disk::UntrustedDisk;
         use mig_core::transfer::checkpoint::CheckpointStore;
-        use mig_core::transfer::delta;
+        use mig_core::transfer::delta::{self, PageDigests};
 
         let store = CheckpointStore::new(UntrustedDisk::new(), "prop-delta");
         let g0 = store.put(base.clone()).unwrap();
@@ -497,7 +498,10 @@ proptest! {
         new.truncate(keep);
         let g1 = store.put(new.clone()).unwrap();
 
-        let (manifest, payload) = store.delta_since(g0).expect("both generations retained");
+        let stored = store.get(g0).expect("both generations retained");
+        let latest = store.get(g1).expect("both generations retained");
+        let digests = PageDigests::compute(&stored, delta::PAGE_SIZE);
+        let (manifest, payload) = delta::diff(&digests, g0, g1, &latest);
         prop_assert_eq!(manifest.base_generation, g0);
         prop_assert_eq!(manifest.new_generation, g1);
         prop_assert_eq!(payload.len() as u64, manifest.payload_len());
@@ -865,6 +869,192 @@ proptest! {
         if let Ok(layout) = mig_core::library::bulk::Layout::parse(&arbitrary) {
             let claimed = mig_crypto::sha256::sha256(&arbitrary[layout.index]);
             let _ = verify_root(&arbitrary, &claimed, lanes);
+        }
+    }
+}
+
+/// Genuine `TRANSFER` / `TRANSFER_BATCH` inputs captured in flight.
+mod transfer_inputs {
+    use cloud_sim::machine::MachineLabels;
+    use cloud_sim::network::{Envelope, TapAction};
+    use mig_apps::kvstore::{self, ops as kv, KvStore};
+    use mig_core::datacenter::Datacenter;
+    use mig_core::host::tags;
+    use mig_core::library::InitRequest;
+    use mig_core::policy::MigrationPolicy;
+    use mig_core::transfer::TransferConfig;
+    use parking_lot::Mutex;
+    use sgx_sim::machine::MachineId;
+    use sgx_sim::measurement::{EnclaveImage, EnclaveSigner};
+    use sgx_sim::wire::{WireReader, WireWriter};
+    use std::sync::Arc;
+
+    /// A datacenter whose destination ME still expects `frame` — the
+    /// second stream frame (or batch container) of a migration, captured
+    /// and dropped on its way — as its next input from `source`.
+    pub struct Captured {
+        pub dc: Datacenter,
+        pub source: MachineId,
+        pub destination: MachineId,
+        pub frame: Vec<u8>,
+    }
+
+    impl Captured {
+        /// The ECALL input carrying `frame` from the source.
+        pub fn input(&self, frame: &[u8]) -> Vec<u8> {
+            let mut w = WireWriter::new();
+            w.u64(self.source.0).bytes(frame);
+            w.finish()
+        }
+    }
+
+    pub fn capture(seed: u64, batch: u32) -> Captured {
+        let config = TransferConfig {
+            stream_threshold: 4096,
+            chunk_size: 4096,
+            window: 8,
+            max_window: 8,
+            batch_size: batch,
+            ..TransferConfig::default()
+        };
+        let mut dc = Datacenter::new(seed);
+        let policy = MigrationPolicy::same_operator_only();
+        let m1 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
+        let m2 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
+        let image = EnclaveImage::build("prop-xfer", 1, b"kv", &EnclaveSigner::from_seed([34; 32]));
+        dc.deploy_app("a", m1, &image, KvStore::new(), InitRequest::New)
+            .unwrap();
+        dc.call_app("a", kv::INIT, &[]).unwrap();
+        dc.call_app("a", kv::BULK_PUT, &kvstore::encode_bulk_put(24, 900, 5))
+            .unwrap();
+        dc.deploy_app("a-dst", m2, &image, KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+        let tag = if batch > 1 {
+            tags::RA_TRANSFER_BATCH
+        } else {
+            tags::RA_TRANSFER
+        };
+        let slot: Arc<Mutex<(usize, Vec<u8>)>> = Arc::default();
+        let tap = Arc::clone(&slot);
+        dc.world_mut()
+            .network_mut()
+            .add_tap(Box::new(move |e: &Envelope| {
+                let mut r = WireReader::new(&e.payload);
+                if e.from.machine != m1 || e.to.machine != m2 || r.u8().ok() != Some(tag) {
+                    return TapAction::Deliver;
+                }
+                let mut slot = tap.lock();
+                slot.0 += 1;
+                if slot.0 == 2 {
+                    slot.1 = r.bytes_vec().unwrap();
+                    return TapAction::Drop;
+                }
+                TapAction::Deliver
+            }));
+        let host = dc.app("a");
+        host.lock()
+            .migrate_to(dc.world_mut().network_mut(), m2)
+            .unwrap();
+        dc.run();
+        let frame = std::mem::take(&mut slot.lock().1);
+        assert!(!frame.is_empty(), "a stream frame captured");
+        Captured {
+            dc,
+            source: m1,
+            destination: m2,
+            frame,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cell opener — `wire::split_cell` then
+    /// `SecureChannel::open_cell` — refuses arbitrary bytes and every
+    /// mutation of a genuine frame (a flipped byte anywhere, a truncation,
+    /// appended junk) without panicking and without consuming the
+    /// sequence number: the genuine frame still opens afterwards.
+    #[test]
+    fn cell_opener_is_total(
+        header in proptest::collection::vec(any::<u8>(), 0..64),
+        payload in proptest::collection::vec(any::<u8>(), 1..3000),
+        cell in 0u32..4096,
+        kind in any::<u8>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        use mig_core::me::wire::split_cell;
+        use mig_core::secure_channel::{ChannelRole, SecureChannel};
+        use mig_core::transfer::chunker::CellBody;
+
+        let (mut tx, mut rx) = (
+            SecureChannel::new([6; 16], ChannelRole::Initiator),
+            SecureChannel::new([6; 16], ChannelRole::Responder),
+        );
+        let stream = ChunkStream::new([1; 16], 4096, payload);
+        let body = CellBody::chunk(&stream, 0, cell);
+        let mut frame = tx.seal_cell(&header, body);
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        let mut open = |bytes: &[u8]| -> bool {
+            split_cell(bytes)
+                .ok()
+                .is_some_and(|(sealed, body)| rx.open_cell(sealed, body).is_ok())
+        };
+        prop_assert!(!open(&arbitrary));
+        prop_assert!(!open(&bulk_decoders::mutate(&frame, kind, pos, xor, &junk)));
+        prop_assert!(open(&frame), "the genuine frame is still next in order");
+    }
+
+    /// The destination ME's `TRANSFER` and `TRANSFER_BATCH` inputs refuse
+    /// arbitrary bytes and every mutation of a genuine in-flight frame
+    /// without panicking. A per-frame input is refused outright (the
+    /// ECALL fails); a container is refused, or reports a rejected cell,
+    /// unless the mutation only touched its unauthenticated trailing pad
+    /// — its cells are then the genuine ones. An input the ECALL fails on
+    /// changes nothing: the genuine frame is accepted afterwards.
+    #[test]
+    fn transfer_ecall_inputs_are_total(
+        seed in 0u64..3,
+        kind in any::<u8>(),
+        pos in any::<usize>(),
+        xor in 1u8..=255,
+        junk in proptest::collection::vec(any::<u8>(), 1..64),
+        arbitrary in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        use mig_core::me::ops as me_ops;
+        use mig_core::me::wire::unpack_batch;
+
+        for batched in [false, true] {
+            let c = transfer_inputs::capture(seed, if batched { 4 } else { 1 });
+            let op = if batched { me_ops::TRANSFER_BATCH } else { me_ops::TRANSFER };
+            let me = c.dc.me_host(c.destination);
+            let ecall = |input: &[u8]| me.lock().enclave().ecall(op, input);
+            // Refused: the ECALL failed, or a container's status byte
+            // reports a rejected cell.
+            let refused = |out: &Result<Vec<u8>, SgxError>| match out {
+                Err(_) => true,
+                Ok(out) => batched && out.last() != Some(&0),
+            };
+            prop_assert!(refused(&ecall(&arbitrary)));
+            prop_assert!(refused(&ecall(&c.input(&arbitrary))));
+            let mutated = bulk_decoders::mutate(&c.frame, kind, pos, xor, &junk);
+            match ecall(&c.input(&mutated)) {
+                Err(_) => {
+                    let out = ecall(&c.input(&c.frame));
+                    prop_assert!(!refused(&out), "the genuine frame is still next: {:?}", out.err());
+                }
+                out @ Ok(_) if !refused(&out) => {
+                    prop_assert!(batched, "a mutated frame passed cell open");
+                    // An accepted container carries the genuine cells.
+                    prop_assert_eq!(unpack_batch(&mutated).unwrap(), unpack_batch(&c.frame).unwrap());
+                }
+                // A container whose cell k was refused keeps the cells
+                // before it, exactly as the per-cell path would have.
+                Ok(_) => prop_assert!(batched),
+            }
         }
     }
 }

@@ -840,59 +840,109 @@ fn r2_destination_host_container_swap_is_refused_at_install_or_load() {
     }
 }
 
+/// The public body of the first stream frame from `from` to `to` in
+/// `frames` — a migration's lead (`ChunkStart` / `DeltaStart`): the
+/// frame itself on the per-frame path, the container's first cell on
+/// the batched path.
+fn lead_body(frames: &[cloud_sim::network::Envelope], from: MachineId, to: MachineId) -> Vec<u8> {
+    use mig_core::host::tags;
+    use mig_core::me::wire::{split_cell, unpack_batch};
+    let (tag, body) = frames
+        .iter()
+        .filter(|e| e.from.machine == from && e.to.machine == to && e.from.service == "me")
+        .map(|e| unframe(&e.payload))
+        .find(|(tag, _)| *tag == tags::RA_TRANSFER || *tag == tags::RA_TRANSFER_BATCH)
+        .expect("a stream frame");
+    let lead = if tag == tags::RA_TRANSFER_BATCH {
+        unpack_batch(&body).unwrap()[0].to_vec()
+    } else {
+        body
+    };
+    split_cell(&lead).unwrap().1.to_vec()
+}
+
 /// No plaintext on the wire: a 32-byte sentinel stored in the kvstore
 /// appears in no frame, on any service, during a full-stream 1 MiB
-/// migration and a delta hop back.
+/// migration and a delta hop back — per frame and in `TRANSFER_BATCH`
+/// containers (batch 4). The stream cells' public bodies carry container
+/// ciphertext and zero pad only: each lead frame's body, where Table I
+/// would be if it were not in the encrypted header, is all zeros.
 #[test]
 fn r1_no_plaintext_on_the_wire_full_stream_or_delta() {
+    use mig_core::transfer::TransferConfig;
+
     let sentinel: [u8; 32] = *b"sentinel: must never be on wire!";
     let contains = |frames: &[cloud_sim::network::Envelope]| {
         frames
             .iter()
             .any(|e| e.payload.windows(32).any(|w| w == sentinel))
     };
-    let (mut dc, m1, m2) = dc_with_two_machines(222);
-    kv_with_bulk(&mut dc, "src", m1, 256, 4096); // 1 MiB, streamed
-    put(&mut dc, "src", b"sentinel", &sentinel);
-    dc.deploy_app("dst", m2, &kv_image(), KvStore::new(), InitRequest::Migrate)
+    for batch_size in [1u32, 4] {
+        let config = TransferConfig {
+            batch_size,
+            ..TransferConfig::default()
+        };
+        let mut dc = Datacenter::new(222);
+        let policy = MigrationPolicy::same_operator_only();
+        let m1 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
+        let m2 = dc.add_machine_with_transfer(MachineLabels::default(), &policy, config);
+        kv_with_bulk(&mut dc, "src", m1, 256, 4096); // 1 MiB, streamed
+        put(&mut dc, "src", b"sentinel", &sentinel);
+        dc.deploy_app("dst", m2, &kv_image(), KvStore::new(), InitRequest::Migrate)
+            .unwrap();
+        dc.world_mut().network_mut().start_recording();
+        dc.migrate_app("src", "dst").unwrap();
+        let full = dc.world_mut().network_mut().stop_recording();
+        assert!(full.len() > 8, "a streamed migration");
+        assert!(
+            !contains(&full),
+            "batch {batch_size}: sentinel leaked on the full stream"
+        );
+        let lead = lead_body(&full, m1, m2);
+        assert!(
+            !lead.is_empty() && lead.iter().all(|b| *b == 0),
+            "batch {batch_size}: the ChunkStart body is zero pad only"
+        );
+
+        // A delta hop back: a few entries dirtied, the sentinel untouched.
+        let state = staged(&mut dc, "dst");
+        dc.call_app("dst", kv::LOAD, &state).unwrap();
+        put(&mut dc, "dst", b"bulk-00000003", &[3; 4096]);
+        dc.deploy_app(
+            "back",
+            m1,
+            &kv_image(),
+            KvStore::new(),
+            InitRequest::Migrate,
+        )
         .unwrap();
-    dc.world_mut().network_mut().start_recording();
-    dc.migrate_app("src", "dst").unwrap();
-    let full = dc.world_mut().network_mut().stop_recording();
-    assert!(full.len() > 8, "a streamed migration");
-    assert!(!contains(&full), "sentinel leaked on the full stream");
+        dc.world_mut().network_mut().start_recording();
+        dc.migrate_app("dst", "back").unwrap();
+        let delta = dc.world_mut().network_mut().stop_recording();
+        let me_me: u64 = delta
+            .iter()
+            .filter(|e| e.from.service == "me" && e.to.service == "me")
+            .map(|e| e.payload.len() as u64)
+            .sum();
+        assert!(
+            me_me * 4 < state.len() as u64,
+            "batch {batch_size}: the hop shipped a delta ({me_me} ME-ME bytes for {} state bytes)",
+            state.len()
+        );
+        assert!(
+            !contains(&delta),
+            "batch {batch_size}: sentinel leaked on the delta hop"
+        );
+        assert!(
+            lead_body(&delta, m2, m1).iter().all(|b| *b == 0),
+            "batch {batch_size}: the DeltaStart body is zero pad only"
+        );
 
-    // A delta hop back: a few entries dirtied, the sentinel untouched.
-    let state = staged(&mut dc, "dst");
-    dc.call_app("dst", kv::LOAD, &state).unwrap();
-    put(&mut dc, "dst", b"bulk-00000003", &[3; 4096]);
-    dc.deploy_app(
-        "back",
-        m1,
-        &kv_image(),
-        KvStore::new(),
-        InitRequest::Migrate,
-    )
-    .unwrap();
-    dc.world_mut().network_mut().start_recording();
-    dc.migrate_app("dst", "back").unwrap();
-    let delta = dc.world_mut().network_mut().stop_recording();
-    let me_me: u64 = delta
-        .iter()
-        .filter(|e| e.from.service == "me" && e.to.service == "me")
-        .map(|e| e.payload.len() as u64)
-        .sum();
-    assert!(
-        me_me * 4 < state.len() as u64,
-        "the hop shipped a delta ({me_me} ME-ME bytes for {} state bytes)",
-        state.len()
-    );
-    assert!(!contains(&delta), "sentinel leaked on the delta hop");
-
-    // The sentinel did arrive, inside the sealed state.
-    let state = staged(&mut dc, "back");
-    dc.call_app("back", kv::LOAD, &state).unwrap();
-    assert_eq!(dc.call_app("back", kv::GET, b"sentinel").unwrap(), sentinel);
+        // The sentinel did arrive, inside the sealed state.
+        let state = staged(&mut dc, "back");
+        dc.call_app("back", kv::LOAD, &state).unwrap();
+        assert_eq!(dc.call_app("back", kv::GET, b"sentinel").unwrap(), sentinel);
+    }
 }
 
 /// The sealed channel messages that carry the migration — the library's
